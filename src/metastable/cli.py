@@ -66,8 +66,6 @@ CONFIG_SCHEMA = {
                 "scheme": {"enum": ["euler-maruyama", "splitting-obabo"]},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "max_time": {"type": "number", "exclusiveMinimum": 0},
-                "rng_seed": {"type": "integer"},
-                "stream_id": {"type": "integer"},
             },
         },
         "ensemble": {
@@ -104,8 +102,7 @@ CONFIG_SCHEMA = {
 
 DEFAULTS = {
     "balls": {"rule": "desk", "radius": 0.2},
-    "integrator": {"scheme": "splitting-obabo", "dt": 1.0e-3, "max_time": 1.0e6,
-                   "rng_seed": 0, "stream_id": 0},
+    "integrator": {"scheme": "splitting-obabo", "dt": 1.0e-3, "max_time": 1.0e6},
     "ensemble": {"n_traj": 2000, "base_seed": 0},
     "quadrature": {"points_per_axis": 64, "panels": 4, "truncation_offset": 8.0, "K": 4.0},
     "landscape": {"grid_density": 9},
@@ -306,10 +303,7 @@ def cmd_simulate(cfg, args, outdir):
                 np.concatenate([report.minimum_s.location, np.zeros(model.dimension)]),
                 _radius(cfg, eps),
             ),
-            integrator=IntegratorConfig(
-                scheme=integ["scheme"], dt=integ["dt"], max_time=max_time,
-                rng_seed=ens["base_seed"], stream_id=integ["stream_id"],
-            ),
+            integrator=IntegratorConfig(scheme=integ["scheme"], dt=integ["dt"], max_time=max_time),
             base_seed=ens["base_seed"],
             stream_base=i * ens["n_traj"],
         )
@@ -330,16 +324,8 @@ def cmd_simulate(cfg, args, outdir):
             }
         )
         if args.dump_trajectories:
-            from .dynamics import batch_hit_times
-
-            times, reasons, _ = batch_hit_times(
-                model, cfg["gamma"], eps,
-                np.tile(ecfg.start, (ens["n_traj"], 1)),
-                ecfg.stop_spec(), ecfg.integrator,
-                ecfg.stream_base + np.arange(ens["n_traj"]),
-            )
             names = {0: "hit_target", 1: "hit_avoid", 2: "timeout", 3: "level_crossed"}
-            for tid, (t, r) in enumerate(zip(times, reasons)):
+            for tid, (t, r) in enumerate(zip(stats.times, stats.reasons)):
                 rows.append([eps, tid, f"{t:.9g}", names[int(r)]])
     payload = _metadata(cfg, args.argv)
     payload["hitting"] = results
@@ -365,6 +351,8 @@ def cmd_capacity(cfg, args, outdir):
     )
     from .rates import build_saddle_frame
 
+    if cfg["potential"]["dimension"] > 2:
+        raise ConfigError("capacity quadrature supports potential.dimension <= 2")
     model, report = _analyze(cfg)
     frame = build_saddle_frame(model, report, cfg["gamma"])
     qcfg = cfg["quadrature"]

@@ -25,23 +25,6 @@ from scipy.linalg import solve_continuous_lyapunov
 from .errors import InputError, NumericsError
 from .potentials import PotentialModel
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a soft dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 EULER = "euler-maruyama"
 OBABO = "splitting-obabo"
 
@@ -311,12 +294,6 @@ def integrate_until(
     if not np.all(np.isfinite(x)):
         raise InputError("start state must be finite")
     d = model.dimension
-    if process.kind == "forward" and _fast_path_ok(model, config.scheme, stop):
-        times, reasons, finals = batch_hit_times(
-            model, gamma, epsilon, x[None, :], stop, config, np.array([config.stream_id])
-        )
-        names = {HIT_TARGET: "hit_target", HIT_AVOID: "hit_avoid", TIMEOUT: "timeout"}
-        return StopEvent(names[int(reasons[0])], float(times[0]), finals[0])
     # immediate hits at time zero
     event = _check_stop(stop, model, x, x, 0.0, 0.0)
     if event is not None:
@@ -340,225 +317,6 @@ def integrate_until(
 HIT_TARGET, HIT_AVOID, TIMEOUT, LEVEL_CROSSED = 0, 1, 2, 3
 
 
-@njit(cache=True)
-def _grad_into(q_row, coefs, exps, out):
-    """Gradient of U at one point from zero-padded monomial arrays."""
-    d = q_row.shape[0]
-    for a in range(d):
-        acc = 0.0
-        for m in range(coefs.shape[1]):
-            c = coefs[a, m]
-            if c == 0.0:
-                continue
-            term = c
-            for k in range(d):
-                e = exps[a, m, k]
-                for _ in range(e):
-                    term *= q_row[k]
-            acc += term
-        out[a] = acc
-
-
-@njit(cache=True)
-def _chunk_kernel_balls(
-    q, p, noise, steps, scheme_obabo,
-    a_coef, b_coef, sq_em, dt, gamma,
-    coefs, exps,
-    has_target, tc, tr, has_avoid, ac, ar,
-    hit_step, hit_frac, hit_code, ev_q, ev_p,
-):
-    """March one noise chunk for every running trajectory (ball stops only).
-
-    hit_code: -1 running, 0 target, 1 avoid, -3 blow-up.  Event step/fraction
-    and the interpolated state are written per trajectory; positions and
-    momenta of still-running rows are updated in place.
-    """
-    n = q.shape[0]
-    d = q.shape[1]
-    g = np.empty(d)
-    qn = np.empty(d)
-    pn = np.empty(d)
-    for i in range(n):
-        if hit_code[i] != -1:
-            continue
-        for s in range(steps):
-            if scheme_obabo:
-                for k in range(d):
-                    pn[k] = a_coef * p[i, k] + b_coef * noise[i, s, k]
-                _grad_into(q[i], coefs, exps, g)
-                for k in range(d):
-                    pn[k] = pn[k] - 0.5 * dt * g[k]
-                for k in range(d):
-                    qn[k] = q[i, k] + dt * pn[k]
-                _grad_into(qn, coefs, exps, g)
-                for k in range(d):
-                    pn[k] = pn[k] - 0.5 * dt * g[k]
-                for k in range(d):
-                    pn[k] = a_coef * pn[k] + b_coef * noise[i, s, d + k]
-            else:
-                _grad_into(q[i], coefs, exps, g)
-                for k in range(d):
-                    qn[k] = q[i, k] + dt * p[i, k]
-                for k in range(d):
-                    pn[k] = p[i, k] + dt * (-g[k] - gamma * p[i, k]) + sq_em * noise[i, s, k]
-
-            blown = False
-            for k in range(d):
-                if abs(qn[k]) > BLOWUP_LIMIT or abs(pn[k]) > BLOWUP_LIMIT:
-                    blown = True
-            if blown:
-                hit_code[i] = -3
-                hit_step[i] = s
-                break
-
-            fired = False
-            for which in range(2):
-                if fired:
-                    break
-                if which == 0:
-                    if not has_target:
-                        continue
-                    center, radius, code = tc, tr, 0
-                else:
-                    if not has_avoid:
-                        continue
-                    center, radius, code = ac, ar, 1
-                acc_q = 0.0
-                acc_p = 0.0
-                for k in range(d):
-                    dq = qn[k] - center[k]
-                    acc_q += dq * dq
-                for k in range(d):
-                    dp = pn[k] - center[d + k]
-                    acc_p += dp * dp
-                r_new = np.sqrt(acc_q + acc_p)
-                if r_new <= radius:
-                    acc_q = 0.0
-                    acc_p = 0.0
-                    for k in range(d):
-                        dq = q[i, k] - center[k]
-                        acc_q += dq * dq
-                    for k in range(d):
-                        dp = p[i, k] - center[d + k]
-                        acc_p += dp * dp
-                    r_old = np.sqrt(acc_q + acc_p)
-                    denom = r_new - r_old if r_new != r_old else 1.0
-                    frac = (radius - r_old) / denom
-                    if frac < 0.0:
-                        frac = 0.0
-                    elif frac > 1.0:
-                        frac = 1.0
-                    hit_code[i] = code
-                    hit_step[i] = s
-                    hit_frac[i] = frac
-                    for k in range(d):
-                        ev_q[i, k] = q[i, k] + frac * (qn[k] - q[i, k])
-                        ev_p[i, k] = p[i, k] + frac * (pn[k] - p[i, k])
-                    fired = True
-            if fired:
-                break
-            for k in range(d):
-                q[i, k] = qn[k]
-                p[i, k] = pn[k]
-
-
-def _fast_path_ok(model, scheme, stop):
-    return (
-        HAVE_NUMBA
-        and scheme in (OBABO, EULER)
-        and stop.level_fn is None
-        and stop.energy_level is None
-        and stop.domain_bound is None
-        and (stop.target_center is not None or stop.avoid_center is not None)
-    )
-
-
-def _batch_hit_times_fast(model, gamma, epsilon, starts, stop, config, stream_ids):
-    """Chunked numba driver; same noise protocol and arithmetic as the kernel."""
-    starts = np.asarray(starts, dtype=float)
-    n, dim2 = starts.shape
-    d = model.dimension
-    dt = config.dt
-    n_steps = int(np.ceil(config.max_time / dt))
-    width = _noise_width(ProcessKind.forward(), config.scheme, d)
-    coefs, exps = model.gradient_monomial_arrays()
-
-    times = np.full(n, float(config.max_time))
-    reasons = np.full(n, TIMEOUT, dtype=np.int8)
-    finals = starts.copy()
-    q = np.ascontiguousarray(starts[:, :d])
-    p = np.ascontiguousarray(starts[:, d:])
-    active = np.arange(n)
-    sid = np.asarray(stream_ids)
-
-    tc = stop.target_center if stop.target_center is not None else np.zeros(2 * d)
-    ac = stop.avoid_center if stop.avoid_center is not None else np.zeros(2 * d)
-    has_target = stop.target_center is not None
-    has_avoid = stop.avoid_center is not None
-
-    def dist(qq, pp, center):
-        dd = ((qq - center[:d]) ** 2).sum(axis=1) + ((pp - center[d:]) ** 2).sum(axis=1)
-        return np.sqrt(dd)
-
-    # hits at time zero
-    for center, radius, code, present in (
-        (tc, stop.target_radius, HIT_TARGET, has_target),
-        (ac, stop.avoid_radius, HIT_AVOID, has_avoid),
-    ):
-        if present and len(active):
-            inside = dist(q, p, center) <= radius
-            if np.any(inside):
-                idx = active[inside]
-                times[idx] = 0.0
-                reasons[idx] = code
-                keep = ~inside
-                active, q, p = active[keep], q[keep], p[keep]
-
-    a_coef = np.exp(-gamma * dt / 2.0)
-    b_coef = np.sqrt(epsilon * (1.0 - a_coef * a_coef))
-    sq_em = np.sqrt(2 * gamma * epsilon * dt)
-
-    chunk_index = 0
-    while len(active) and chunk_index * NOISE_CHUNK < n_steps:
-        na = len(active)
-        steps = min(NOISE_CHUNK, n_steps - chunk_index * NOISE_CHUNK)
-        noise = np.empty((na, NOISE_CHUNK, width))
-        for row, i in enumerate(active):
-            noise[row] = noise_block(config.rng_seed, int(sid[i]), chunk_index, (NOISE_CHUNK, width))
-        hit_step = np.zeros(na, dtype=np.int64)
-        hit_frac = np.zeros(na)
-        hit_code = np.full(na, -1, dtype=np.int8)
-        ev_q = np.zeros((na, d))
-        ev_p = np.zeros((na, d))
-        _chunk_kernel_balls(
-            q, p, noise, steps, config.scheme == OBABO,
-            a_coef, b_coef, sq_em, dt, gamma,
-            coefs, exps,
-            has_target, tc, float(stop.target_radius),
-            has_avoid, ac, float(stop.avoid_radius),
-            hit_step, hit_frac, hit_code, ev_q, ev_p,
-        )
-        if np.any(hit_code == -3):
-            bad = active[hit_code == -3][0]
-            raise NumericsError(f"trajectory {bad} blew up during integration")
-        done = hit_code >= 0
-        if np.any(done):
-            idx = active[done]
-            k_global = chunk_index * NOISE_CHUNK + hit_step[done]
-            times[idx] = k_global * dt + hit_frac[done] * dt
-            reasons[idx] = hit_code[done]
-            finals[idx, :d] = ev_q[done]
-            finals[idx, d:] = ev_p[done]
-            keep = ~done
-            active, q, p = active[keep], np.ascontiguousarray(q[keep]), np.ascontiguousarray(p[keep])
-        chunk_index += 1
-
-    if len(active):
-        finals[active, :d] = q
-        finals[active, d:] = p
-    return times, reasons, finals
-
-
 def batch_hit_times(
     model: PotentialModel,
     gamma: float,
@@ -573,12 +331,11 @@ def batch_hit_times(
     Returns (times, reasons, final_states); reasons holds the integer codes
     HIT_TARGET / HIT_AVOID / TIMEOUT / LEVEL_CROSSED.  Noise for trajectory i
     is consumed from stream (rng_seed, stream_ids[i]) in NOISE_CHUNK blocks,
-    so a trajectory's path does not depend on the batch around it.  Ball-only
-    stop rules run through a compiled per-chunk kernel when numba is present;
-    level and domain predicates use the vectorized numpy fallback.
+    so a trajectory's path does not depend on the batch around it.  Rows that
+    stop stay in the current chunk; ``rows`` maps each running trajectory to
+    its row of the chunk, so stopping never copies the noise.  Ball and level
+    predicates are checked; energy-level and domain predicates are not.
     """
-    if _fast_path_ok(model, config.scheme, stop):
-        return _batch_hit_times_fast(model, gamma, epsilon, starts, stop, config, stream_ids)
     starts = np.asarray(starts, dtype=float)
     n, dim2 = starts.shape
     d = model.dimension
@@ -631,7 +388,7 @@ def batch_hit_times(
     b_coef = np.sqrt(epsilon * (1.0 - a_coef * a_coef))
     sq_em = np.sqrt(2 * gamma * epsilon * dt)
 
-    chunk = None
+    chunk = rows = None
     chunk_idx = -1
 
     for k in range(n_steps):
@@ -639,11 +396,13 @@ def batch_hit_times(
             break
         c_idx, offset = divmod(k, NOISE_CHUNK)
         if c_idx != chunk_idx:
+            chunk = None  # release the spent chunk before drawing the next
             chunk = np.empty((len(active), NOISE_CHUNK, width))
             for row, i in enumerate(active):
                 chunk[row] = noise_block(config.rng_seed, int(sid[i]), c_idx, (NOISE_CHUNK, width))
             chunk_idx = c_idx
-        noise = chunk[:, offset, :]
+            rows = np.arange(len(active))
+        noise = chunk[rows, offset, :]
 
         if scheme == OBABO:
             p_mid = a_coef * p + b_coef * noise[:, :d]
@@ -701,8 +460,7 @@ def batch_hit_times(
 
         if np.any(done):
             keep = ~done
-            active, q, p = active[keep], q_new[keep], p_new[keep]
-            chunk = chunk[keep]
+            active, q, p, rows = active[keep], q_new[keep], p_new[keep], rows[keep]
         else:
             q, p = q_new, p_new
 

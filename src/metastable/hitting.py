@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -85,6 +85,9 @@ class HittingStats:
     wall_time: float
     base_seed: int
     stream_range: tuple
+    # per trajectory, in stream order: hit times and HIT_*/TIMEOUT codes
+    times: np.ndarray = field(repr=False, compare=False)
+    reasons: np.ndarray = field(repr=False, compare=False)
 
 
 def target_radius_for(epsilon: float, rule: str = "desk") -> float:
@@ -130,10 +133,9 @@ def _run_chunk(args):
     return batch_hit_times(model, gamma, epsilon, starts, stop, config, stream_ids)
 
 
-def _run_ensemble(cfg: EnsembleConfig, starts: np.ndarray, jobs: int = 1):
-    """Times/reasons for n_traj trajectories from the given per-trajectory starts."""
-    n = cfg.n_traj
-    stream_ids = cfg.stream_base + np.arange(n)
+def _run_ensemble(cfg: EnsembleConfig, starts: np.ndarray, stream_ids: np.ndarray, jobs: int = 1):
+    """Times/reasons/finals for one trajectory per start, each on its stream id."""
+    n = len(starts)
     config = replace(cfg.integrator, rng_seed=cfg.base_seed)
     stop = cfg.stop_spec()
     if jobs <= 1 or n < 2 * jobs:
@@ -158,28 +160,23 @@ def _run_ensemble(cfg: EnsembleConfig, starts: np.ndarray, jobs: int = 1):
     return times, reasons, finals
 
 
-def _run_groups(cfg: EnsembleConfig, group_starts, jobs: int = 1, share_streams: bool = False):
-    """Run several sub-ensembles in one fused batch.
+def _run_groups(cfg: EnsembleConfig, group_starts, blocks=None, jobs: int = 1):
+    """Run several sub-ensembles of n_traj trajectories in one fused batch.
 
-    Group g occupies streams [stream_base + g n_traj, stream_base + (g+1)
-    n_traj); per-trajectory noise is stream-keyed, so the fused run is
-    bit-identical to running the groups separately (it just shares the slow
-    tail across the batch).  With ``share_streams`` every group reuses the
-    same stream block (common random numbers), which couples trajectories
-    across groups for low-variance comparisons of nearby starts.
-    Returns a list of (times, reasons) per group.
+    Group g runs on stream block blocks[g] (default g), i.e. streams
+    [stream_base + b n_traj, stream_base + (b+1) n_traj); per-trajectory
+    noise is stream-keyed, so the fused run is bit-identical to running the
+    groups separately (it just shares the slow tail across the batch).
+    Groups given the same block share their streams (common random numbers),
+    which couples trajectories across groups for low-variance comparisons of
+    nearby starts.  Returns a list of (times, reasons) per group.
     """
     n = cfg.n_traj
+    if blocks is None:
+        blocks = range(len(group_starts))
     starts = np.concatenate([np.tile(np.asarray(s, dtype=float), (n, 1)) for s in group_starts])
-    if share_streams:
-        stream_ids = cfg.stream_base + np.tile(np.arange(n), len(group_starts))
-        config = replace(cfg.integrator, rng_seed=cfg.base_seed)
-        times, reasons, _ = batch_hit_times(
-            cfg.model, cfg.gamma, cfg.epsilon, starts, cfg.stop_spec(), config, stream_ids
-        )
-    else:
-        big = replace(cfg, n_traj=n * len(group_starts))
-        times, reasons, _ = _run_ensemble(big, starts, jobs)
+    stream_ids = cfg.stream_base + np.concatenate([b * n + np.arange(n) for b in blocks])
+    times, reasons, _ = _run_ensemble(cfg, starts, stream_ids, jobs)
     return [(times[g * n : (g + 1) * n], reasons[g * n : (g + 1) * n]) for g in range(len(group_starts))]
 
 
@@ -194,7 +191,8 @@ def estimate_mean_hitting_time(cfg: EnsembleConfig, jobs: int = 1) -> HittingSta
         raise InputError("start lies inside the target ball")
     t0 = time.perf_counter()
     starts = np.tile(cfg.start, (cfg.n_traj, 1))
-    times, reasons, _ = _run_ensemble(cfg, starts, jobs)
+    stream_ids = cfg.stream_base + np.arange(cfg.n_traj)
+    times, reasons, _ = _run_ensemble(cfg, starts, stream_ids, jobs)
     wall = time.perf_counter() - t0
     hit = reasons == HIT_TARGET
     n_timeout = int((reasons == TIMEOUT).sum())
@@ -215,6 +213,8 @@ def estimate_mean_hitting_time(cfg: EnsembleConfig, jobs: int = 1) -> HittingSta
         wall_time=wall,
         base_seed=cfg.base_seed,
         stream_range=(int(cfg.stream_base), int(cfg.stream_base + cfg.n_traj)),
+        times=times,
+        reasons=reasons,
     )
 
 
@@ -239,29 +239,37 @@ def estimate_equilibrium_potential(
 ) -> list:
     """Committor h(x) = P(hit target ball before avoid ball) at given points.
 
-    h_star re-runs each point with reversed momentum.  Points whose timeout
+    h_star re-runs each point with reversed momentum; at p = 0 that is the
+    same start, so h_star = h without a second run.  Point k runs on stream
+    block 2k and its reversed start on block 2k + 1.  Points whose timeout
     fraction exceeds one half are flagged unreliable.
     """
     if cfg.avoid is None:
         raise InputError("committor estimation needs both target and avoid balls")
-    out = []
     d = cfg.model.dimension
-    group_starts = []
-    for point in points:
-        x = np.asarray(point, dtype=float)
+    xs = [np.asarray(point, dtype=float) for point in points]
+    group_starts, blocks, pairs = [], [], []
+    for k, x in enumerate(xs):
+        forward = reverse = len(group_starts)
         group_starts.append(x)
-        group_starts.append(np.concatenate([x[:d], -x[d:]]))
-    groups = _run_groups(cfg, group_starts, jobs)
-    for k, point in enumerate(points):
-        x = np.asarray(point, dtype=float)
-        estimates = []
-        for which in (0, 1):
-            _, reasons = groups[2 * k + which]
-            n_m = int((reasons == HIT_TARGET).sum())
-            n_to = int((reasons == TIMEOUT).sum())
-            estimates.append((n_m / cfg.n_traj, n_to / cfg.n_traj))
-        h, to_frac = estimates[0]
-        h_star, _ = estimates[1]
+        blocks.append(2 * k)
+        if np.any(x[d:] != 0.0):
+            reverse = len(group_starts)
+            group_starts.append(np.concatenate([x[:d], -x[d:]]))
+            blocks.append(2 * k + 1)
+        pairs.append((forward, reverse))
+    groups = _run_groups(cfg, group_starts, blocks, jobs)
+
+    def fractions(group):
+        _, reasons = groups[group]
+        n_m = int((reasons == HIT_TARGET).sum())
+        n_to = int((reasons == TIMEOUT).sum())
+        return n_m / cfg.n_traj, n_to / cfg.n_traj
+
+    out = []
+    for x, (forward, reverse) in zip(xs, pairs):
+        h, to_frac = fractions(forward)
+        h_star, _ = fractions(reverse)
         out.append(
             CommittorEstimate(
                 x=x,
@@ -348,7 +356,8 @@ def start_insensitivity_probe(
         r = radius * rng.uniform() ** (1.0 / dim)
         starts.append(cfg.start + r * direction)
     means = []
-    for times, reasons in _run_groups(cfg, starts, jobs, share_streams=share_streams):
+    blocks = [0] * len(starts) if share_streams else None
+    for times, reasons in _run_groups(cfg, starts, blocks, jobs):
         hit = reasons == HIT_TARGET
         if not np.any(hit):
             raise NumericsError("a probe start produced no completed trajectories")

@@ -9,6 +9,7 @@ through the Hamiltonian V(q, p) = U(q) + |p|^2 / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -88,9 +89,9 @@ class PotentialModel:
                 g[:, i] = w2 * pts[:, i]
         else:
             g = np.zeros_like(pts)
-            for axis, monos in enumerate(self._grad_monomials()):
+            for axis, monos in enumerate(self._grad_monomials):
                 for mono in monos:
-                    term = np.full(len(pts), mono.coefficient)
+                    term = mono.coefficient  # broadcasts like a full column
                     for ax2, k in enumerate(mono.exponents):
                         if k:
                             term = term * pts[:, ax2] ** k
@@ -113,7 +114,7 @@ class PotentialModel:
                 h[i, i] = w2
         else:
             h = np.zeros((d, d))
-            for (i, j), monos in self._hess_monomials().items():
+            for (i, j), monos in self._hess_monomials.items():
                 val = 0.0
                 for mono in monos:
                     term = mono.coefficient
@@ -125,47 +126,17 @@ class PotentialModel:
                 h[j, i] = val
         return h
 
-    # -- monomial form (drives the compiled integrator kernels) -------------
-
-    def as_monomials(self):
-        """U (without offset) as (coefficients, exponent rows)."""
-        if self.family == QUARTIC_1D:
-            return [Monomial(0.25, (4,)), Monomial(-0.5, (2,)), Monomial(0.25, (0,))]
-        if self.family == SEPARABLE_ND:
-            d = self.dimension
-            base = [0] * d
-            monos = [
-                Monomial(0.25, tuple([4] + base[1:])),
-                Monomial(-0.5, tuple([2] + base[1:])),
-                Monomial(0.25, tuple(base)),
-            ]
-            for i, w2 in enumerate(self.parameters, start=1):
-                exps = base.copy()
-                exps[i] = 2
-                monos.append(Monomial(0.5 * w2, tuple(exps)))
-            return monos
-        return list(self._monomials)
-
-    def gradient_monomial_arrays(self):
-        """Zero-padded (d, m) coefficient and (d, m, d) exponent arrays of grad U."""
-        grads = _differentiate_once(self.as_monomials(), self.dimension)
-        d = self.dimension
-        m_max = max(1, max(len(g) for g in grads))
-        coefs = np.zeros((d, m_max))
-        exps = np.zeros((d, m_max, d), dtype=np.int64)
-        for axis, monos in enumerate(grads):
-            for j, mono in enumerate(monos):
-                coefs[axis, j] = mono.coefficient
-                exps[axis, j] = mono.exponents
-        return coefs, exps
-
     # -- symbolic derivative caches (polynomial family) --------------------
 
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass still allows; the derivatives are fixed by _monomials.
+    @cached_property
     def _grad_monomials(self):
         return _differentiate_once(self._monomials, self.dimension)
 
+    @cached_property
     def _hess_monomials(self):
-        grads = self._grad_monomials()
+        grads = self._grad_monomials
         out = {}
         for i in range(self.dimension):
             partials = _differentiate_once(grads[i], self.dimension)
@@ -212,8 +183,8 @@ def polynomial_potential(dimension: int, terms, offset: float = 0.0) -> Potentia
     """Dense polynomial potential from (coefficient, exponent-tuple) pairs.
 
     Restricted to total degree <= 6 and dimension <= 3 so that exact
-    derivatives stay cheap; derivative monomial lists are materialised at
-    construction.
+    derivatives stay cheap; derivative monomial lists are derived once per
+    model, on first use.
     """
     if not 1 <= dimension <= _MAX_POLY_DIM:
         raise InputError(f"polynomial potentials support 1 <= d <= {_MAX_POLY_DIM}")

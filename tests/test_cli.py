@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,13 @@ class TestConfigLoading:
         path.write_text(json.dumps(block))
         with pytest.raises(ConfigError, match="epsilon"):
             load_config(str(path), [])
+
+    @pytest.mark.parametrize("field", ["integrator.rng_seed=99", "integrator.stream_id=7"])
+    def test_ignored_integrator_fields_rejected(self, config_path, field, capsys):
+        # seeds come from ensemble.base_seed and streams from the epsilon index
+        with pytest.raises(ConfigError, match="integrator"):
+            load_config(config_path, [field])
+        assert main(["simulate", config_path, "--set", field]) == 2
 
     def test_hash_stable_under_key_order(self, config_path):
         a = load_config(config_path, [])
@@ -101,6 +109,54 @@ class TestCommands:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 32
         assert {r["stop_reason"] for r in rows} <= {"hit_target", "timeout"}
+
+    def test_simulate_dump_runs_each_ensemble_once(self, config_path, tmp_path, monkeypatch, capsys):
+        import metastable.dynamics
+        import metastable.hitting
+
+        calls = []
+        engine = metastable.dynamics.batch_hit_times
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(metastable.dynamics, "batch_hit_times", counted)
+        monkeypatch.setattr(metastable.hitting, "batch_hit_times", counted)
+        out = tmp_path / "out"
+        code = main(
+            ["simulate", config_path, "--out", str(out), "--set", "epsilon_grid=[0.3,0.25]",
+             "--set", "ensemble.n_traj=24", "--dump-trajectories"]
+        )
+        assert code == 0
+        assert calls == [0.3, 0.25]
+        hitting = json.loads((out / "hitting.json").read_text())["hitting"]
+        with (out / "trajectories.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for stats in hitting:
+            mine = [r for r in rows if float(r["epsilon"]) == stats["epsilon"]]
+            assert [int(r["trajectory_id"]) for r in mine] == list(range(24))
+            done = [float(r["hit_time"]) for r in mine if r["stop_reason"] == "hit_target"]
+            assert len(done) == stats["n_completed"]
+            # the CSV carries 9 significant digits
+            assert math.fsum(done) / len(done) == pytest.approx(stats["mean"], rel=1e-8)
+
+    def test_capacity_rejects_dimension_3_before_analysis(self, tmp_path, monkeypatch, capsys):
+        import metastable.cli
+
+        def no_analysis(cfg):
+            raise AssertionError("landscape search ran")
+
+        monkeypatch.setattr(metastable.cli, "_analyze", no_analysis)
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps({
+            **CONFIG,
+            "potential": {"family": "separable-double-well-nd", "dimension": 3,
+                          "parameters": [4.0, 4.0]},
+            "landscape": {"grid_density": 5},
+        }))
+        assert main(["capacity", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "dimension" in capsys.readouterr().err
 
     def test_simulate_byte_stable(self, config_path, tmp_path, capsys):
         outs = []

@@ -4,7 +4,10 @@ from scipy.integrate import solve_ivp
 
 from metastable.dynamics import (
     EULER,
+    HIT_AVOID,
     HIT_TARGET,
+    LEVEL_CROSSED,
+    NOISE_CHUNK,
     OBABO,
     TIMEOUT,
     FunctionBundle,
@@ -148,6 +151,27 @@ class TestIntegrateUntil:
         t_b, _, _ = batch_hit_times(MODEL, 1.0, 0.3, starts[11:], self.stop, cfg, np.arange(11, 24))
         assert (r_full == HIT_TARGET).sum() > 12
         assert np.array_equal(np.concatenate([t_a, t_b]), t_full)
+
+    def test_batch_rows_stopping_mid_chunk_match_single_runs(self):
+        # rows leave the batch mid-chunk and in later chunks, through every stop
+        # kind; the survivors must keep reading their own noise rows
+        stop = StopSpec(
+            target_center=np.array([-1.0, 0.0]), target_radius=0.25,
+            avoid_center=np.array([1.0, 0.0]), avoid_radius=0.25,
+            level_fn=lambda x: x[:, 1], level_value=1.0,
+        )
+        cfg = IntegratorConfig(scheme=OBABO, dt=2e-3, max_time=8.0, rng_seed=21)
+        qs = np.concatenate([np.linspace(-0.7, 0.7, 24), [-1.0]])
+        starts = np.stack([qs, np.zeros_like(qs)], axis=1)
+        sids = np.arange(len(qs)) + 100
+        times, reasons, finals = batch_hit_times(MODEL, 1.0, 0.2, starts, stop, cfg, sids)
+        assert set(reasons.tolist()) == {HIT_TARGET, HIT_AVOID, TIMEOUT, LEVEL_CROSSED}
+        chunk_of = np.floor(times[reasons != TIMEOUT] / (NOISE_CHUNK * cfg.dt))
+        assert {0, 1, 2, 3} <= set(chunk_of.tolist())
+        for i in range(len(qs)):
+            t1, r1, f1 = batch_hit_times(MODEL, 1.0, 0.2, starts[i : i + 1], stop, cfg, sids[i : i + 1])
+            assert t1[0] == times[i] and r1[0] == reasons[i]
+            assert np.array_equal(f1[0], finals[i])
 
 
 class TestGenerator:

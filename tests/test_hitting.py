@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from metastable.dynamics import OBABO, IntegratorConfig
+from metastable.dynamics import HIT_TARGET, OBABO, IntegratorConfig, batch_hit_times
 from metastable.errors import InputError, NumericsError
 from metastable.hitting import (
     Ball,
@@ -87,6 +89,19 @@ class TestMeanHittingTime:
         b = estimate_mean_hitting_time(make_cfg(n_traj=64), jobs=2)
         assert a.mean == b.mean and a.min == b.min and a.max == b.max
 
+    def test_per_trajectory_records_in_stream_order(self):
+        cfg = replace(make_cfg(n_traj=40), stream_base=200)
+        one = estimate_mean_hitting_time(cfg)
+        two = estimate_mean_hitting_time(cfg, jobs=2)
+        config = replace(cfg.integrator, rng_seed=cfg.base_seed)
+        times, reasons, _ = batch_hit_times(
+            MODEL, 1.0, cfg.epsilon, np.tile(cfg.start, (40, 1)), cfg.stop_spec(), config,
+            np.arange(200, 240),
+        )
+        for stats in (one, two):
+            assert np.array_equal(stats.times, times) and np.array_equal(stats.reasons, reasons)
+        assert one.n_completed == (reasons == HIT_TARGET).sum()
+
     def test_radius_rules(self):
         assert target_radius_for(0.05) == 0.2
         assert target_radius_for(0.3) == 0.3
@@ -113,6 +128,26 @@ class TestCommittor:
         cfg = make_cfg(epsilon=0.15, n_traj=100, avoid=True, max_time=500.0)
         est = estimate_equilibrium_potential(cfg, [[-0.4, 0.2]])[0]
         assert 0.0 <= est.h_star <= 1.0
+
+    def test_zero_momentum_reuses_forward_run(self, monkeypatch):
+        import metastable.hitting
+
+        rows = []
+        engine = metastable.hitting.batch_hit_times
+
+        def counted(model, gamma, epsilon, starts, *rest):
+            rows.append(len(starts))
+            return engine(model, gamma, epsilon, starts, *rest)
+
+        monkeypatch.setattr(metastable.hitting, "batch_hit_times", counted)
+        cfg = make_cfg(epsilon=0.15, n_traj=40, avoid=True, max_time=500.0)
+        points = [[-0.3, 0.0], [0.1, 0.3]]
+        ests = estimate_equilibrium_potential(cfg, points)
+        assert rows == [3 * 40]  # no reversed run for the p = 0 point
+        assert ests[0].h_star == ests[0].h
+        # point k keeps stream block 2k whether or not earlier points ran a reversed group
+        alone = estimate_equilibrium_potential(replace(cfg, stream_base=2 * 40), points[1:])[0]
+        assert (alone.h, alone.h_star) == (ests[1].h, ests[1].h_star)
 
     def test_disjoint_balls_required(self):
         with pytest.raises(InputError):
