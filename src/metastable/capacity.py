@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import erfc, gammainc, ndtr
 
-from .errors import InputError, NumericsError
+from .errors import MAX_REJECTION_ROUNDS, InputError, NumericsError
 from .landscape import LandscapeReport, find_critical_points
 from .potentials import PotentialModel
 from .rates import SaddleFrame, ek_prediction
@@ -98,8 +98,8 @@ def _face_samples(lo, hi, axis, sign, n):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _position_nodes(model, quadrature, lo, hi, scale=1):
-    axes = [quadrature.nodes(lo[i], hi[i], scale) for i in range(model.dimension)]
+def _tensor_nodes(axes):
+    """Tensor-product nodes (n, d) and weights from per-axis (nodes, weights) rules."""
     mesh_x = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     mesh_w = np.meshgrid(*[a[1] for a in axes], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh_x], axis=1)
@@ -107,6 +107,10 @@ def _position_nodes(model, quadrature, lo, hi, scale=1):
     for m in mesh_w:
         w = w * m.ravel()
     return pts, w
+
+
+def _position_nodes(model, quadrature, lo, hi, scale=1):
+    return _tensor_nodes([quadrature.nodes(lo[i], hi[i], scale) for i in range(model.dimension)])
 
 
 # -- partition function and tightness -----------------------------------------
@@ -397,11 +401,18 @@ def harmonicity_residual(
 
     u_sigma = float(model.energy(sigma_q))
     level = u_sigma + box.K**2 * box.delta**2
-    while len(samples) < n_samples:
+    for _ in range(MAX_REJECTION_ROUNDS):
         coords = rng.uniform(-1.0, 1.0, size=(4 * n_samples, 2 * d)) * box.half_widths
         pts = frame.center + coords @ frame.basis.T
         keep = np.asarray(hamiltonian(model, pts)) < level
         samples.extend(pts[keep])
+        if len(samples) >= n_samples:
+            break
+    else:
+        raise NumericsError(
+            f"box sampling kept {len(samples)} of {n_samples} points below the energy level "
+            f"in {MAX_REJECTION_ROUNDS} rounds"
+        )
     pts = np.array(samples[:n_samples])
 
     gfac, _ = _j_gaussian_factor(frame, epsilon, pts)
@@ -433,12 +444,7 @@ def _harmonicity_integral(frame, model, gamma, epsilon, box, level, quadrature, 
     from .potentials import hamiltonian
 
     axes = [quadrature.nodes(-h, h, 1) for h in box.half_widths]
-    mesh_x = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    mesh_w = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh_x], axis=1)
-    w = np.ones(len(coords))
-    for m in mesh_w:
-        w = w * m.ravel()
+    coords, w = _tensor_nodes(axes)
     pts = frame.center + coords @ frame.basis.T
     v_val = np.asarray(hamiltonian(model, pts))
     mask = v_val < level
@@ -570,12 +576,7 @@ def _face_integrals_exact(frame, epsilon, K, quadrature, u_sigma, exact_v):
     # diagnostic only: a percent-level grid keeps the 2d-1 tensor small
     quadrature = QuadratureConfig(points_per_axis=12 if d > 1 else 64, panels=4)
     axes = [quadrature.nodes(-2 * K * delta / np.sqrt(li), 2 * K * delta / np.sqrt(li)) for li in trans_lam]
-    mesh_x = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    mesh_w = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    xt = np.stack([m.ravel() for m in mesh_x], axis=1)
-    w = np.ones(len(xt))
-    for m in mesh_w:
-        w = w * m.ravel()
+    xt, w = _tensor_nodes(axes)
     quad_form = 0.5 * (xt * xt) @ trans_lam
     v_quad = -0.5 * lam[0] * c1 * c1 + quad_form
     k_rate = np.sqrt(frame.mu / (frame.gamma * epsilon))
@@ -898,12 +899,7 @@ def exact_quadratic_control(
     level = barrier - margin
     w2 = np.asarray(well_omega_sq, dtype=float)
     axes = [quadrature.nodes(-np.sqrt(2 * level / wi) , np.sqrt(2 * level / wi), 2) for wi in w2]
-    mesh_x = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    mesh_w = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh_x], axis=1)
-    w = np.ones(len(pts))
-    for m in mesh_w:
-        w = w * m.ravel()
+    pts, w = _tensor_nodes(axes)
     u_val = 0.5 * (pts * pts) @ w2
     mask = u_val < level
     shell = gammainc(d / 2.0, np.maximum(level - u_val, 0.0) / epsilon)

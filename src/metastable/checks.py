@@ -18,8 +18,12 @@ from . import hitting as hit
 from . import lyapunov as lyap
 from .errors import NumericsError
 from .dynamics import (
+    NOISE_CHUNK,
     OBABO,
     IntegratorConfig,
+    ProcessKind,
+    _advance,
+    _step_coefs,
     evolve_linearization_covariance,
     noise_block,
     run_zero_noise_flow,
@@ -563,27 +567,20 @@ def check_gibbs_marginals(
 ) -> CheckResult:
     t0 = time.perf_counter()
     model = polynomial_potential(1, [(0.5 * omega_sq, (2,))])
-    a = np.exp(-gamma * dt / 2.0)
-    b = np.sqrt(epsilon * (1.0 - a * a))
+    forward = ProcessKind.forward()
+    coefs = _step_coefs(forward, gamma, epsilon, dt, OBABO)
     q = np.zeros((n_chains, 1))
     p = np.zeros((n_chains, 1))
     sum_q2 = 0.0
     sum_p2 = 0.0
     count = 0
-    chunk = 1024
     for k in range(n_steps):
-        c_idx, offset = divmod(k, chunk)
+        c_idx, offset = divmod(k, NOISE_CHUNK)
         if offset == 0:
             noise = np.stack(
-                [noise_block(seed, i, c_idx, (chunk, 2)) for i in range(n_chains)], axis=1
+                [noise_block(seed, i, c_idx, (NOISE_CHUNK, 2)) for i in range(n_chains)], axis=1
             )
-        n1 = noise[offset, :, :1]
-        n2 = noise[offset, :, 1:]
-        p = a * p + b * n1
-        p = p - 0.5 * dt * model.gradient(q)
-        q = q + dt * p
-        p = p - 0.5 * dt * model.gradient(q)
-        p = a * p + b * n2
+        q, p = _advance(forward, model, gamma, epsilon, q, p, dt, noise[offset], OBABO, coefs)
         if k >= burn:
             sum_q2 += float(np.sum(q * q))
             sum_p2 += float(np.sum(p * p))

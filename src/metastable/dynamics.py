@@ -8,10 +8,17 @@ Four process kinds are supported:
 * ``reversed``    dq = -p dt, dp = +(grad U + gamma p) dt + sqrt(2 gamma eps) dB
 * ``zero_noise``  the deterministic (eps = 0) forward flow
 
+All four run through one integrator, the ensemble engine
+``batch_hit_times``, built on one step kernel (``_advance``, the Euler and
+OBABO updates) and one first-hit stop rule; ``integrate_until`` is its
+one-row call and ``step`` the kernel's single-state wrapper.
+
 Noise is counter-based: every trajectory owns a Philox stream keyed by
-(seed, stream_id) and consumes it in fixed-size chunks, so a trajectory's
-path is bit-reproducible regardless of which other trajectories run next to
-it, on how many workers, or in which order.
+(seed, stream_id) and consumes it in fixed-size chunks (``noise_block``), so
+a trajectory's path is bit-reproducible regardless of which other
+trajectories run next to it, on how many workers, or in which order.  The
+engine is the only reader of those streams during a run; the coupled
+forward/perturbed probe reads the same blocks to drive its pair.
 """
 
 from __future__ import annotations
@@ -80,14 +87,17 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class StopSpec:
-    """First-hit stopping rule: any combination of the supported predicates."""
+    """First-hit stopping rule: a target ball, an avoid ball and a level, in that order.
+
+    Balls live in phase space and stop a trajectory once its distance to the
+    center is at most the radius; the level stops it once the vectorized
+    ``level_fn(x)`` reaches ``level_value``.
+    """
 
     target_center: Optional[np.ndarray] = None
     target_radius: float = 0.0
     avoid_center: Optional[np.ndarray] = None
     avoid_radius: float = 0.0
-    energy_level: Optional[float] = None
-    domain_bound: Optional[float] = None
     level_fn: Optional[Callable] = None  # vectorized f(x) -> value, stop when >= level
     level_value: float = 0.0
 
@@ -102,7 +112,7 @@ class StopSpec:
 
 @dataclass(frozen=True)
 class StopEvent:
-    reason: str  # hit_target | hit_avoid | energy_level_crossed | left_domain | timeout
+    reason: str  # hit_target | hit_avoid | energy_level_crossed | timeout
     time: float
     state: np.ndarray
 
@@ -125,37 +135,60 @@ def noise_block(seed: int, stream_id: int, chunk_index: int, shape) -> np.ndarra
     return np.random.Generator(bg).standard_normal(shape)
 
 
-class NoiseStream:
-    """Sequential per-step noise for a single trajectory."""
-
-    def __init__(self, seed: int, stream_id: int, width: int):
-        self.seed = seed
-        self.stream_id = stream_id
-        self.width = width  # normals consumed per step
-        self._chunk_index = -1
-        self._chunk = None
-
-    def step(self, step_index: int) -> np.ndarray:
-        chunk, offset = divmod(step_index, NOISE_CHUNK)
-        if chunk != self._chunk_index:
-            self._chunk = noise_block(self.seed, self.stream_id, chunk, (NOISE_CHUNK, self.width))
-            self._chunk_index = chunk
-        return self._chunk[offset]
+# -- the step kernel ------------------------------------------------------------
 
 
-# -- single steps ---------------------------------------------------------------
+def _noise_width(process: ProcessKind, scheme: str, d: int) -> int:
+    if scheme == OBABO:
+        return 2 * d
+    return 2 * d if process.kind == "perturbed" else d
 
 
-def _drift(process: ProcessKind, model, gamma, q, p):
-    """(dq/dt, dp/dt) drift of the chosen SDE, vectorized over leading axes."""
-    grad = model.gradient(q)
+def _step_coefs(process: ProcessKind, gamma: float, eps: float, dt: float, scheme: str):
+    """Constants of ``_advance`` for one run: OBABO (a, b), Euler (q, p) noise scales."""
+    if scheme == OBABO:
+        if process.kind in ("perturbed", "reversed"):
+            raise InputError("splitting-obabo is defined for forward/zero_noise only")
+        a = np.exp(-gamma * dt / 2.0)
+        return a, np.sqrt(eps * (1.0 - a * a))
+    if scheme == EULER:
+        return np.sqrt(2 * process.alpha * eps * dt), np.sqrt(2 * gamma * eps * dt)
+    raise InputError(f"unknown scheme {scheme!r}")
+
+
+def _advance(process, model, gamma, eps, q, p, dt, noise, scheme, coefs):
+    """One Euler or OBABO step of (q, p), vectorized over leading axes.
+
+    ``noise`` holds the step's normals in the layout of ``step`` and is not
+    read when eps = 0; ``coefs`` comes from ``_step_coefs`` for the same run.
+    """
+    d = model.dimension
+    if scheme == OBABO:
+        a, b = coefs
+        n1 = noise[..., :d] if eps > 0 else 0.0
+        n2 = noise[..., d:] if eps > 0 else 0.0
+        p = a * p + b * n1                      # O: exact OU half-step
+        p = p - 0.5 * dt * model.gradient(q)    # B
+        q = q + dt * p                          # A
+        p = p - 0.5 * dt * model.gradient(q)    # B
+        return q, a * p + b * n2                # O
+    grad = model.gradient(q)  # Euler: drift of the chosen SDE
     if process.kind == "reversed":
-        return -p, grad + gamma * p
-    dq = p
-    dp = -grad - gamma * p
-    if process.kind == "perturbed":
-        dq = dq - process.alpha * grad
-    return dq, dp
+        dq, dp = -p, grad + gamma * p
+    else:
+        dq, dp = p, -grad - gamma * p
+        if process.kind == "perturbed":
+            dq = dq - process.alpha * grad
+    q_new = q + dq * dt
+    p_new = p + dp * dt
+    if eps > 0:
+        scale_q, scale_p = coefs
+        if process.kind == "perturbed":
+            q_new = q_new + scale_q * noise[..., :d]
+            p_new = p_new + scale_p * noise[..., d:]
+        else:
+            p_new = p_new + scale_p * noise
+    return q_new, p_new
 
 
 def step(
@@ -180,141 +213,25 @@ def step(
     d = model.dimension
     if x.shape[-1] != 2 * d:
         raise InputError(f"state must have length {2 * d}")
-    q, p = x[..., :d].copy(), x[..., d:].copy()
     eps = 0.0 if process.kind == "zero_noise" else float(epsilon)
-    noise = np.asarray(noise, dtype=float) if noise is not None else np.zeros(0)
-
-    if scheme == EULER:
-        need = 2 * d if process.kind == "perturbed" else d
-        if eps > 0 and noise.shape[-1] != need:
-            raise InputError(f"{process.kind} Euler step needs {need} normals")
-        dq, dp = _drift(process, model, gamma, q, p)
-        q_new = q + dq * dt
-        p_new = p + dp * dt
-        if eps > 0:
-            if process.kind == "perturbed":
-                q_new = q_new + np.sqrt(2 * process.alpha * eps * dt) * noise[..., :d]
-                p_new = p_new + np.sqrt(2 * gamma * eps * dt) * noise[..., d:]
-            else:
-                p_new = p_new + np.sqrt(2 * gamma * eps * dt) * noise
-    elif scheme == OBABO:
-        if process.kind in ("perturbed", "reversed"):
-            raise InputError("splitting-obabo is defined for forward/zero_noise only")
-        if eps > 0 and noise.shape[-1] != 2 * d:
-            raise InputError("obabo step needs 2d normals")
-        a = np.exp(-gamma * dt / 2.0)
-        b = np.sqrt(eps * (1.0 - a * a))
-        n1 = noise[..., :d] if eps > 0 else 0.0
-        n2 = noise[..., d:] if eps > 0 else 0.0
-        p = a * p + b * n1                      # O: exact OU half-step
-        p = p - 0.5 * dt * model.gradient(q)    # B
-        q = q + dt * p                          # A
-        p = p - 0.5 * dt * model.gradient(q)    # B
-        q_new, p_new = q, a * p + b * n2        # O
-    else:
-        raise InputError(f"unknown scheme {scheme!r}")
-
+    coefs = _step_coefs(process, gamma, eps, dt, scheme)
+    if eps > 0:
+        noise = np.asarray(noise, dtype=float)
+        need = _noise_width(process, scheme, d)
+        if noise.shape[-1] != need:
+            raise InputError(f"{process.kind} {scheme} step needs {need} normals")
+    q_new, p_new = _advance(process, model, gamma, eps, x[..., :d], x[..., d:], dt, noise, scheme, coefs)
     out = np.concatenate([np.atleast_1d(q_new), np.atleast_1d(p_new)], axis=-1)
-    if not np.all(np.isfinite(out)) or np.any(np.abs(out) > BLOWUP_LIMIT):
+    if not np.all(np.abs(out) <= BLOWUP_LIMIT):
         raise NumericsError(f"trajectory blew up at state {out}")
     return out
 
 
-def _noise_width(process: ProcessKind, scheme: str, d: int) -> int:
-    if scheme == OBABO:
-        return 2 * d
-    return 2 * d if process.kind == "perturbed" else d
-
-
-# -- single-trajectory integration ----------------------------------------------
-
-
-def _phase_dist(x, center, d):
-    """Distance with the same summation order as the batch engine."""
-    dq2 = ((x[:d] - center[:d]) ** 2).sum()
-    dp2 = ((x[d:] - center[d:]) ** 2).sum()
-    return np.sqrt(dq2 + dp2)
-
-
-def _check_stop(stop: StopSpec, model, x_prev, x_new, t_prev, dt):
-    """First predicate fired during (t_prev, t_prev+dt]; linear crossing time."""
-    d = len(x_prev) // 2
-
-    def interp(val_prev, val_new, threshold):
-        denom = val_new - val_prev
-        frac = 0.0 if denom == 0 else (threshold - val_prev) / denom
-        return min(max(frac, 0.0), 1.0)
-
-    if stop.target_center is not None:
-        r_new = _phase_dist(x_new, stop.target_center, d)
-        if r_new <= stop.target_radius:
-            r_prev = _phase_dist(x_prev, stop.target_center, d)
-            frac = interp(r_prev, r_new, stop.target_radius)
-            return StopEvent("hit_target", t_prev + frac * dt, x_prev + frac * (x_new - x_prev))
-    if stop.avoid_center is not None:
-        r_new = _phase_dist(x_new, stop.avoid_center, d)
-        if r_new <= stop.avoid_radius:
-            r_prev = _phase_dist(x_prev, stop.avoid_center, d)
-            frac = interp(r_prev, r_new, stop.avoid_radius)
-            return StopEvent("hit_avoid", t_prev + frac * dt, x_prev + frac * (x_new - x_prev))
-    if stop.energy_level is not None:
-        from .potentials import hamiltonian
-
-        v_new = hamiltonian(model, x_new)
-        if v_new >= stop.energy_level:
-            v_prev = hamiltonian(model, x_prev)
-            frac = interp(v_prev, v_new, stop.energy_level)
-            return StopEvent("energy_level_crossed", t_prev + frac * dt, x_prev + frac * (x_new - x_prev))
-    if stop.level_fn is not None:
-        v_new = float(stop.level_fn(x_new[None, :])[0])
-        if v_new >= stop.level_value:
-            v_prev = float(stop.level_fn(x_prev[None, :])[0])
-            frac = interp(v_prev, v_new, stop.level_value)
-            return StopEvent("energy_level_crossed", t_prev + frac * dt, x_prev + frac * (x_new - x_prev))
-    if stop.domain_bound is not None and np.linalg.norm(x_new) > stop.domain_bound:
-        return StopEvent("left_domain", t_prev + dt, x_new)
-    return None
-
-
-def integrate_until(
-    process: ProcessKind,
-    model: PotentialModel,
-    gamma: float,
-    epsilon: float,
-    start,
-    stop: StopSpec,
-    config: IntegratorConfig,
-) -> StopEvent:
-    """Step until the first stop predicate fires or max_time elapses.
-
-    Deterministic given (rng_seed, stream_id, config); timeouts are reported
-    as events, not errors.
-    """
-    x = np.asarray(start, dtype=float).copy()
-    if not np.all(np.isfinite(x)):
-        raise InputError("start state must be finite")
-    d = model.dimension
-    # immediate hits at time zero
-    event = _check_stop(stop, model, x, x, 0.0, 0.0)
-    if event is not None:
-        return event
-    width = _noise_width(process, config.scheme, d)
-    stream = NoiseStream(config.rng_seed, config.stream_id, width)
-    n_steps = int(np.ceil(config.max_time / config.dt))
-    for k in range(n_steps):
-        noise = stream.step(k) if (epsilon > 0 and process.kind != "zero_noise") else np.zeros(width)
-        x_new = step(process, model, gamma, epsilon, x, config.dt, noise, config.scheme)
-        event = _check_stop(stop, model, x, x_new, k * config.dt, config.dt)
-        if event is not None:
-            return event
-        x = x_new
-    return StopEvent("timeout", float(config.max_time), x)
-
-
-# -- vectorized ensemble engine ---------------------------------------------------
+# -- the ensemble engine ----------------------------------------------------------
 
 
 HIT_TARGET, HIT_AVOID, TIMEOUT, LEVEL_CROSSED = 0, 1, 2, 3
+_REASON_NAMES = ("hit_target", "hit_avoid", "timeout", "energy_level_crossed")  # by code
 
 
 def batch_hit_times(
@@ -325,16 +242,23 @@ def batch_hit_times(
     stop: StopSpec,
     config: IntegratorConfig,
     stream_ids: np.ndarray,
+    process: ProcessKind = ProcessKind.forward(),
 ):
-    """Integrate many forward trajectories at once (one Philox stream each).
+    """Integrate many trajectories of one process kind at once (one Philox stream each).
 
-    Returns (times, reasons, final_states); reasons holds the integer codes
-    HIT_TARGET / HIT_AVOID / TIMEOUT / LEVEL_CROSSED.  Noise for trajectory i
-    is consumed from stream (rng_seed, stream_ids[i]) in NOISE_CHUNK blocks,
-    so a trajectory's path does not depend on the batch around it.  Rows that
-    stop stay in the current chunk; ``rows`` maps each running trajectory to
-    its row of the chunk, so stopping never copies the noise.  Ball and level
-    predicates are checked; energy-level and domain predicates are not.
+    This is the package's one integrator: every process kind and scheme goes
+    through it, and it is the only reader of the noise streams during a run
+    (``integrate_until`` is a one-row call).  Returns (times, reasons,
+    final_states); reasons holds the integer codes HIT_TARGET / HIT_AVOID /
+    TIMEOUT / LEVEL_CROSSED.  Noise for trajectory i is consumed from stream
+    (rng_seed, stream_ids[i]) in NOISE_CHUNK blocks, so a trajectory's path
+    does not depend on the batch around it; with eps = 0 or the zero-noise
+    process no noise is drawn.  Rows that stop stay in the current chunk;
+    ``rows`` maps each running trajectory to its row of the chunk, so stopping
+    never copies the noise.  A row's first stop wins, checked in the order
+    target ball, avoid ball, level, and its time is interpolated linearly
+    inside the step.  Blow-ups (|x| > BLOWUP_LIMIT or NaN) raise NumericsError,
+    checked every 16 steps.
     """
     starts = np.asarray(starts, dtype=float)
     n, dim2 = starts.shape
@@ -342,8 +266,10 @@ def batch_hit_times(
     if dim2 != 2 * d:
         raise InputError("starts must have shape (n, 2d)")
     scheme = config.scheme
-    width = _noise_width(ProcessKind.forward(), scheme, d)
     dt = config.dt
+    eps = 0.0 if process.kind == "zero_noise" else float(epsilon)
+    coefs = _step_coefs(process, gamma, eps, dt, scheme)
+    width = _noise_width(process, scheme, d)
     n_steps = int(np.ceil(config.max_time / dt))
 
     times = np.full(n, float(config.max_time))
@@ -355,119 +281,102 @@ def batch_hit_times(
     active = np.arange(n)
     sid = np.asarray(stream_ids)
 
-    tc, tr = stop.target_center, stop.target_radius
-    ac, ar = stop.avoid_center, stop.avoid_radius
-    lf, lv = stop.level_fn, stop.level_value
+    def ball(center):
+        cq, cp = center[:d], center[d:]
+        return lambda qq, pp: np.sqrt(((qq - cq) ** 2).sum(axis=1) + ((pp - cp) ** 2).sum(axis=1))
 
-    def dist(qq, pp, center):
-        dd = ((qq - center[:d]) ** 2).sum(axis=1) + ((pp - center[d:]) ** 2).sum(axis=1)
-        return np.sqrt(dd)
+    # (reason, value of (q, p), threshold, stop when value <= threshold) in priority order
+    predicates = [
+        (code, ball(center), radius, True)
+        for center, radius, code in ((stop.target_center, stop.target_radius, HIT_TARGET),
+                                     (stop.avoid_center, stop.avoid_radius, HIT_AVOID))
+        if center is not None
+    ]
+    if stop.level_fn is not None:
+        lf = stop.level_fn
+        predicates.append(
+            (LEVEL_CROSSED, lambda qq, pp: lf(np.concatenate([qq, pp], axis=1)), stop.level_value, False)
+        )
 
-    def settle(idx, reason, t_event, q_ev, p_ev):
-        times[idx] = t_event
-        reasons[idx] = reason
-        finals[idx, :d] = q_ev
-        finals[idx, d:] = p_ev
+    def settle_stops(q_new, p_new, t_prev, step_dt):
+        """Settle the rows that stop between (q, p) at t_prev and (q_new, p_new)."""
+        done = np.zeros(len(active), dtype=bool)
+        for code, value, threshold, below in predicates:
+            v_new = value(q_new, p_new)
+            hit = ((v_new <= threshold) if below else (v_new >= threshold)) & ~done
+            if np.any(hit):
+                v_old = value(q, p)[hit]
+                denom = np.where(v_new[hit] != v_old, v_new[hit] - v_old, 1.0)
+                frac = np.clip((threshold - v_old) / denom, 0.0, 1.0)
+                idx = active[hit]
+                times[idx] = t_prev + frac * step_dt
+                reasons[idx] = code
+                finals[idx, :d] = q[hit] + frac[:, None] * (q_new[hit] - q[hit])
+                finals[idx, d:] = p[hit] + frac[:, None] * (p_new[hit] - p[hit])
+                done |= hit
+        return done
 
-    # hits at time zero
-    for center, radius, code in ((tc, tr, HIT_TARGET), (ac, ar, HIT_AVOID)):
-        if center is not None and len(active):
-            inside = dist(q, p, center) <= radius
-            if np.any(inside):
-                settle(active[inside], code, 0.0, q[inside], p[inside])
-                keep = ~inside
-                active, q, p = active[keep], q[keep], p[keep]
-    if lf is not None and len(active):
-        inside = lf(np.concatenate([q, p], axis=1)) >= lv
-        if np.any(inside):
-            settle(active[inside], LEVEL_CROSSED, 0.0, q[inside], p[inside])
-            keep = ~inside
-            active, q, p = active[keep], q[keep], p[keep]
+    if n:  # hits at time zero: the start is both ends of an empty step
+        keep = ~settle_stops(q, p, 0.0, 0.0)
+        active, q, p = active[keep], q[keep], p[keep]
 
-    a_coef = np.exp(-gamma * dt / 2.0)
-    b_coef = np.sqrt(epsilon * (1.0 - a_coef * a_coef))
-    sq_em = np.sqrt(2 * gamma * epsilon * dt)
-
-    chunk = rows = None
+    chunk = noise = None
     chunk_idx = -1
+    rows = np.arange(len(active))  # each running trajectory's row of the noise chunk
 
     for k in range(n_steps):
         if len(active) == 0:
             break
-        c_idx, offset = divmod(k, NOISE_CHUNK)
-        if c_idx != chunk_idx:
-            chunk = None  # release the spent chunk before drawing the next
-            chunk = np.empty((len(active), NOISE_CHUNK, width))
-            for row, i in enumerate(active):
-                chunk[row] = noise_block(config.rng_seed, int(sid[i]), c_idx, (NOISE_CHUNK, width))
-            chunk_idx = c_idx
-            rows = np.arange(len(active))
-        noise = chunk[rows, offset, :]
+        if eps > 0:
+            c_idx, offset = divmod(k, NOISE_CHUNK)
+            if c_idx != chunk_idx:
+                chunk = None  # release the spent chunk before drawing the next
+                chunk = np.empty((len(active), NOISE_CHUNK, width))
+                for row, i in enumerate(active):
+                    chunk[row] = noise_block(config.rng_seed, int(sid[i]), c_idx, (NOISE_CHUNK, width))
+                chunk_idx = c_idx
+                rows = np.arange(len(active))
+            noise = chunk[rows, offset, :]
+        q_new, p_new = _advance(process, model, gamma, eps, q, p, dt, noise, scheme, coefs)
 
-        if scheme == OBABO:
-            p_mid = a_coef * p + b_coef * noise[:, :d]
-            p_mid = p_mid - 0.5 * dt * model.gradient(q)
-            q_new = q + dt * p_mid
-            p_mid = p_mid - 0.5 * dt * model.gradient(q_new)
-            p_new = a_coef * p_mid + b_coef * noise[:, d:]
-        else:
-            grad = model.gradient(q)
-            q_new = q + dt * p
-            p_new = p + dt * (-grad - gamma * p) + sq_em * noise[:, :d]
-
-        if k % 16 == 0 and (
-            np.any(np.abs(q_new) > BLOWUP_LIMIT) or np.any(np.abs(p_new) > BLOWUP_LIMIT)
+        if k % 16 == 0 and not (
+            np.all(np.abs(q_new) <= BLOWUP_LIMIT) and np.all(np.abs(p_new) <= BLOWUP_LIMIT)
         ):
             raise NumericsError(f"ensemble trajectory blew up at step {k}")
 
-        done = np.zeros(len(active), dtype=bool)
-        t_prev = k * dt
-
-        for center, radius, code in ((tc, tr, HIT_TARGET), (ac, ar, HIT_AVOID)):
-            if center is None:
-                continue
-            r_new = dist(q_new, p_new, center)
-            hit = (r_new <= radius) & ~done
-            if np.any(hit):
-                r_old = dist(q, p, center)[hit]
-                denom = np.where(r_new[hit] != r_old, r_new[hit] - r_old, 1.0)
-                frac = np.clip((radius - r_old) / denom, 0.0, 1.0)
-                idx = active[hit]
-                settle(
-                    idx,
-                    code,
-                    t_prev + frac * dt,
-                    q[hit] + frac[:, None] * (q_new[hit] - q[hit]),
-                    p[hit] + frac[:, None] * (p_new[hit] - p[hit]),
-                )
-                done |= hit
-        if lf is not None:
-            val_new = lf(np.concatenate([q_new, p_new], axis=1))
-            hit = (val_new >= lv) & ~done
-            if np.any(hit):
-                val_old = lf(np.concatenate([q, p], axis=1))[hit]
-                denom = np.where(val_new[hit] != val_old, val_new[hit] - val_old, 1.0)
-                frac = np.clip((lv - val_old) / denom, 0.0, 1.0)
-                idx = active[hit]
-                settle(
-                    idx,
-                    LEVEL_CROSSED,
-                    t_prev + frac * dt,
-                    q[hit] + frac[:, None] * (q_new[hit] - q[hit]),
-                    p[hit] + frac[:, None] * (p_new[hit] - p[hit]),
-                )
-                done |= hit
-
+        done = settle_stops(q_new, p_new, k * dt, dt)
         if np.any(done):
             keep = ~done
             active, q, p, rows = active[keep], q_new[keep], p_new[keep], rows[keep]
         else:
             q, p = q_new, p_new
 
-    if len(active):
-        finals[active, :d] = q
-        finals[active, d:] = p
+    finals[active, :d] = q
+    finals[active, d:] = p
     return times, reasons, finals
+
+
+def integrate_until(
+    process: ProcessKind,
+    model: PotentialModel,
+    gamma: float,
+    epsilon: float,
+    start,
+    stop: StopSpec,
+    config: IntegratorConfig,
+) -> StopEvent:
+    """One trajectory on stream (rng_seed, stream_id) until it stops or max_time elapses.
+
+    A one-row ``batch_hit_times`` call; timeouts are reported as events, not
+    errors.
+    """
+    x = np.asarray(start, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InputError("start state must be finite")
+    times, reasons, finals = batch_hit_times(
+        model, gamma, epsilon, x[None, :], stop, config, np.array([config.stream_id]), process
+    )
+    return StopEvent(_REASON_NAMES[int(reasons[0])], float(times[0]), finals[0])
 
 
 # -- generator application ---------------------------------------------------------
@@ -704,7 +613,6 @@ def coupled_distance_probe(
     d = model.dimension
     dt = config.dt
     n_steps = int(np.ceil(T / dt))
-    stream = NoiseStream(config.rng_seed, config.stream_id, 2 * d)
     max_dist = 0.0
     grad_int = 0.0
     wtilde = np.zeros(d)
@@ -714,7 +622,10 @@ def coupled_distance_probe(
     t_trunc = None
     proc_p = ProcessKind.perturbed(alpha) if alpha > 0 else ProcessKind.forward()
     for k in range(n_steps):
-        noise = stream.step(k)
+        c_idx, offset = divmod(k, NOISE_CHUNK)
+        if offset == 0:
+            chunk = noise_block(config.rng_seed, config.stream_id, c_idx, (NOISE_CHUNK, 2 * d))
+        noise = chunk[offset]
         nB, nW = noise[d:], noise[:d]  # momentum noise shared; W~ drives q of the perturbed
         x_f = step(ProcessKind.forward(), model, gamma, epsilon, x_f, dt, nB, EULER)
         pert_noise = np.concatenate([nW, nB]) if alpha > 0 else nB

@@ -1,5 +1,8 @@
 """Exception types shared across the package."""
 
+# rounds of 4 n candidates a rejection loop draws before it raises NumericsError
+MAX_REJECTION_ROUNDS = 50
+
 
 class MetastableError(Exception):
     """Base class for all package errors."""

@@ -27,7 +27,7 @@ from .dynamics import (
     apply_generator,
     batch_hit_times,
 )
-from .errors import InputError, NumericsError
+from .errors import MAX_REJECTION_ROUNDS, InputError, NumericsError
 from .potentials import PotentialModel
 
 
@@ -176,11 +176,18 @@ def verify_global_lyapunov(
     bundle = _lyapunov_bundle(model, gamma, lam, np.zeros(d))
     M, R = construct.position_cutoff, construct.momentum_cutoff
     samples = []
-    while len(samples) < n_samples:
+    for _ in range(MAX_REJECTION_ROUNDS):
         q = rng.uniform(-outer_factor * M, outer_factor * M, size=(4 * n_samples, d))
         p = rng.uniform(-outer_factor * R, outer_factor * R, size=(4 * n_samples, d))
         outside = (np.linalg.norm(q, axis=1) > M) | (np.linalg.norm(p, axis=1) > R)
         samples.extend(np.concatenate([q[outside], p[outside]], axis=1))
+        if len(samples) >= n_samples:
+            break
+    else:
+        raise NumericsError(
+            f"sampling kept {len(samples)} of {n_samples} points outside the compact set "
+            f"in {MAX_REJECTION_ROUNDS} rounds"
+        )
     pts = np.array(samples[:n_samples])
     residuals = np.empty(n_samples)
     for i, x in enumerate(pts):
@@ -382,8 +389,13 @@ def exit_probability_probe(
     rng = np.random.default_rng(seed)
     # starts on {H = a} by radial bisection along random directions
     starts = np.empty((n_traj, 2 * d))
-    made = 0
+    made = tries = 0
     while made < n_traj:
+        if tries == 4 * MAX_REJECTION_ROUNDS * n_traj:
+            raise NumericsError(
+                f"only {made} of {tries} directions reach the level set H = {a} within rho"
+            )
+        tries += 1
         direction = rng.standard_normal(2 * d)
         direction /= np.linalg.norm(direction)
         lo, hi = 0.0, construct.rho

@@ -16,7 +16,7 @@ from metastable.capacity import (
     saddle_delta,
     tightness_probe,
 )
-from metastable.errors import InputError
+from metastable.errors import InputError, NumericsError
 from metastable.landscape import build_landscape, find_critical_points
 from metastable.potentials import (
     hamiltonian,
@@ -186,6 +186,14 @@ class TestHarmonicity:
         oracle, _ = dblquad(f, -c, c, -2 * c, 2 * c, epsabs=1e-18, epsrel=1e-10)
         alpha_z = eps * mu * np.exp(-0.25 / eps)
         assert abs(rep.integral_ratio - oracle / alpha_z) < 0.02 * oracle / alpha_z
+
+    def test_sampling_gives_up_on_a_vanishing_region(self, quartic):
+        # a 1e6 q^2 wall leaves almost none of the box below the energy level
+        model, _, frame = quartic
+        tf = build_test_function(model, frame, 0.02, K=4.0)
+        wall = polynomial_potential(1, [(0.25, (4,)), (-0.5 + 1.0e6, (2,)), (0.25, (0,))])
+        with pytest.raises(NumericsError):
+            harmonicity_residual(frame, tf, wall, 1.0, 0.02, n_samples=200, seed=2)
 
 
 class TestBoundaryCapacity:

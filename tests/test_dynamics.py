@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from metastable.dynamics import (
@@ -12,7 +14,6 @@ from metastable.dynamics import (
     TIMEOUT,
     FunctionBundle,
     IntegratorConfig,
-    NoiseStream,
     ProcessKind,
     StopSpec,
     apply_generator,
@@ -71,13 +72,6 @@ class TestStep:
 
 
 class TestNoiseStreams:
-    def test_chunk_layout_matches_blocks(self):
-        stream = NoiseStream(seed=9, stream_id=4, width=2)
-        for k in (0, 1, 1023, 1024, 2049):
-            chunk, offset = divmod(k, 1024)
-            expected = noise_block(9, 4, chunk, (1024, 2))[offset]
-            assert np.array_equal(stream.step(k), expected)
-
     def test_streams_differ(self):
         a = noise_block(9, 4, 0, (8, 1))
         b = noise_block(9, 5, 0, (8, 1))
@@ -141,6 +135,76 @@ class TestIntegrateUntil:
             integrate_until(
                 ProcessKind.reversed(), MODEL, 1.0, 0.0, [0.5, 0.5], StopSpec.none(), cfg
             )
+
+    def test_nan_blowup_raises_in_batch(self):
+        # from q = 30 the first OBABO kicks overflow to NaN between two blow-up checks
+        cfg = IntegratorConfig(scheme=OBABO, dt=0.05, max_time=20, rng_seed=1)
+        with pytest.raises(NumericsError):
+            batch_hit_times(MODEL, 1.0, 0.3, [[30.0, 0.0]], StopSpec.target_ball([-1, 0], 0.2), cfg, [0])
+
+    @pytest.mark.parametrize(
+        "process, scheme, width",
+        [
+            (ProcessKind.forward(), OBABO, 2),
+            (ProcessKind.forward(), EULER, 1),
+            (ProcessKind.perturbed(0.05), EULER, 2),
+            (ProcessKind.reversed(), EULER, 1),
+            (ProcessKind.zero_noise(), OBABO, 2),
+        ],
+    )
+    def test_one_row_run_matches_plain_step_loop(self, process, scheme, width):
+        # independent reference for the engine: a timeout after 1,100 steps, past
+        # the first chunk boundary, against step() fed the stream's blocks directly
+        dt = 2.0**-10
+        n_steps = 1100
+        seed, sid, eps = 9, 4, 0.3
+        cfg = IntegratorConfig(scheme=scheme, dt=dt, max_time=n_steps * dt, rng_seed=seed)
+        times, reasons, finals = batch_hit_times(
+            MODEL, 1.0, eps, [[0.8, 0.1]], StopSpec.none(), cfg, [sid], process
+        )
+        x = np.array([0.8, 0.1])
+        for k in range(n_steps):
+            noise = noise_block(seed, sid, k // 1024, (1024, width))[k % 1024]
+            x = step(process, MODEL, 1.0, eps, x, dt, noise, scheme)
+        assert reasons[0] == TIMEOUT and times[0] == n_steps * dt
+        assert np.array_equal(finals[0], x)
+
+    def test_level_stop_reason_and_process_kinds(self):
+        # a level stop reports energy_level_crossed; Euler runs every process kind
+        stop = StopSpec(level_fn=lambda x: x[:, 1], level_value=0.4)
+        cfg = IntegratorConfig(scheme=EULER, dt=1e-3, max_time=20.0, rng_seed=2, stream_id=5)
+        for process in (ProcessKind.forward(), ProcessKind.perturbed(0.01), ProcessKind.reversed()):
+            ev = integrate_until(process, MODEL, 1.0, 0.3, [1.0, 0.0], stop, cfg)
+            assert ev.reason == "energy_level_crossed"
+            assert 0 < ev.time < 20.0 and abs(ev.state[1] - 0.4) < 1e-12
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(
+        qs=st.lists(st.floats(-1.2, 1.2), min_size=2, max_size=10),
+        cuts=st.sets(st.integers(1, 9)),
+        kind=st.sampled_from([(ProcessKind.forward(), OBABO), (ProcessKind.forward(), EULER),
+                              (ProcessKind.perturbed(0.02), EULER)]),
+        eps=st.sampled_from([0.15, 0.3]),
+    )
+    def test_batch_split_property(self, qs, cuts, kind, eps):
+        # splitting a batch anywhere leaves every row's time, reason and final state unchanged
+        process, scheme = kind
+        stop = StopSpec(
+            target_center=np.array([-1.0, 0.0]), target_radius=0.25,
+            avoid_center=np.array([1.0, 0.0]), avoid_radius=0.25,
+            level_fn=lambda x: x[:, 1], level_value=0.9,
+        )
+        cfg = IntegratorConfig(scheme=scheme, dt=2.5e-3, max_time=3.0, rng_seed=17)
+        starts = np.stack([qs, np.zeros(len(qs))], axis=1)
+        sids = 3 * np.arange(len(qs)) + 1
+        whole = batch_hit_times(MODEL, 1.0, eps, starts, stop, cfg, sids, process)
+        edges = [0] + sorted(c for c in cuts if c < len(qs)) + [len(qs)]
+        parts = [
+            batch_hit_times(MODEL, 1.0, eps, starts[a:b], stop, cfg, sids[a:b], process)
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        for got, want in zip(map(np.concatenate, zip(*parts)), whole):
+            assert np.array_equal(got, want)
 
     def test_batch_partition_invariance(self):
         # timeouts are fine here: bitwise equality is the property under test
