@@ -16,6 +16,7 @@ poisoning the ratio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -517,10 +518,6 @@ def _face_integrals(frame, epsilon, K, quadrature, u_sigma, exact_v=None):
     k_rate = np.sqrt(frame.mu / (frame.gamma * epsilon))
     shift = c1 * abs(frame.v_in_basis[0])  # c1 (mu + gamma)
 
-    # radial nodes: panels of [0, K delta] (ball) and [K delta, sqrt3 K delta] (shell)
-    def radial_nodes(lo, hi):
-        return quadrature.nodes(lo, hi, 1)
-
     # angular measure: int_{S^{n-1}} h(omega_d) dOmega
     #   n = 1: h(1) + h(-1);  n >= 2: |S^{n-2}| int_-1^1 h(t) (1 - t^2)^{(n-3)/2} dt
     if n_dim == 1:
@@ -528,14 +525,14 @@ def _face_integrals(frame, epsilon, K, quadrature, u_sigma, exact_v=None):
         t_weights = np.array([1.0, 1.0])
     else:
         gl_t, gl_tw = np.polynomial.legendre.leggauss(quadrature.points_per_axis)
-        surf = 2.0 * np.pi ** ((n_dim - 1) / 2.0) / _gamma_half((n_dim - 1))
+        surf = 2.0 * np.pi ** ((n_dim - 1) / 2.0) / math.gamma((n_dim - 1) / 2.0)
         t_nodes = gl_t
         t_weights = gl_tw * surf * (1.0 - gl_t**2) ** ((n_dim - 3) / 2.0)
 
+    # radial panels: [0, K delta] (ball) and [K delta, sqrt3 K delta] (shell)
     def face_value(side, rho_lo, rho_hi, use_tail_up, sign_weight):
-        rho, rho_w = radial_nodes(rho_lo, rho_hi)
-        R, T = np.meshgrid(rho, t_nodes, indexing="ij")
-        WR, WT = np.meshgrid(rho_w, t_weights, indexing="ij")
+        rt, w = _tensor_nodes([quadrature.nodes(rho_lo, rho_hi, 1), (t_nodes, t_weights)])
+        R, T = rt[:, 0], rt[:, 1]
         yd = R * T
         s_dot = side * shift + yd
         if use_tail_up:
@@ -545,7 +542,7 @@ def _face_integrals(frame, epsilon, K, quadrature, u_sigma, exact_v=None):
             tail = 0.5 * erfc(-k_rate * s_dot / np.sqrt(2.0))  # j
             weight_dir = yd
         radial = R ** (n_dim - 1) * np.exp(-(u_sigma - 0.5 * kd * kd + 0.5 * R * R) / epsilon)
-        return jac * sign_weight * float(np.sum(WR * WT * weight_dir * tail * radial))
+        return jac * sign_weight * float(np.sum(w * weight_dir * tail * radial))
 
     results = {}
     # m face: committor plateau 1 inside the well ball, 0 beyond
@@ -556,13 +553,6 @@ def _face_integrals(frame, epsilon, K, quadrature, u_sigma, exact_v=None):
     if exact_v is not None:
         results.update(_face_integrals_exact(frame, epsilon, K, quadrature, u_sigma, exact_v))
     return results
-
-
-def _gamma_half(two_a):
-    """Gamma(two_a / 2) for small integer two_a."""
-    from math import gamma
-
-    return gamma(two_a / 2.0)
 
 
 def _face_integrals_exact(frame, epsilon, K, quadrature, u_sigma, exact_v):

@@ -24,9 +24,9 @@ from .dynamics import (
     ProcessKind,
     _advance,
     _step_coefs,
+    batch_zero_noise_flow,
     evolve_linearization_covariance,
     noise_block,
-    run_zero_noise_flow,
 )
 from .landscape import build_landscape, find_critical_points
 from .potentials import (
@@ -491,28 +491,27 @@ def check_linearization_covariance(omega_sq: float = 2.0, gamma: float = 1.0,
 # -- 12. zero-noise flow ---------------------------------------------------------------------------------
 
 
+def _zero_noise_flow_starts(model, report, n_starts: int = 100) -> np.ndarray:
+    """The check's starts: n_starts points of a 14 x 14 (q, p) grid in W_m, below the saddle energy."""
+    qs, ps = np.linspace(0.08, 1.30, 14), np.linspace(-0.55, 0.55, 14)
+    starts = [[q, p] for q in qs for p in ps
+              if model.energy([q]) + 0.5 * p * p < report.saddle.energy - 1.0e-3]
+    if len(starts) < n_starts:
+        raise NumericsError(f"only {len(starts)} grid starts found inside the well")
+    stride = max(1, len(starts) // n_starts)
+    return np.array(starts[::stride][:n_starts])
+
+
 def check_zero_noise_flow(n_starts: int = 100, tol: float = 1.0e-6,
                           drift_tol: float = 1.0e-8) -> CheckResult:
     t0 = time.perf_counter()
     model, report, _ = _quartic_setup()
-    m_loc = report.minimum_m.location
-    target = np.concatenate([m_loc, [0.0]])
+    target = np.concatenate([report.minimum_m.location, [0.0]])
     minima = np.array([report.minimum_m.location, report.minimum_s.location])
-    qs = np.linspace(0.08, 1.30, 14)
-    ps = np.linspace(-0.55, 0.55, 14)
-    starts = []
-    for q in qs:
-        for p in ps:
-            if model.energy([q]) + 0.5 * p * p < report.saddle.energy - 1.0e-3:
-                starts.append([q, p])
-    if len(starts) < n_starts:
-        raise NumericsError(f"only {len(starts)} grid starts found inside the well")
-    stride = max(1, len(starts) // n_starts)
-    starts = np.array(starts[::stride][:n_starts])
+    starts = _zero_noise_flow_starts(model, report, n_starts)
     all_settle = True
     worst_drift = -np.inf
-    for x in starts:
-        res = run_zero_noise_flow(model, 1.0, x, tol=tol, max_time=300.0, minima=minima)
+    for res in batch_zero_noise_flow(model, 1.0, starts, tol=tol, max_time=300.0, minima=minima):
         settled = res.converged and np.linalg.norm(res.limit_point - target) < tol
         all_settle = all_settle and settled
         tr = res.energy_trace
@@ -665,13 +664,3 @@ CHECKS = {
 
 # checks that accept a jobs= keyword (Monte Carlo ensembles)
 PARALLEL_CHECKS = {"monte_carlo_ek", "start_insensitivity", "committor_plateau_envelope"}
-
-
-def run_all(names=None, jobs: int = 1):
-    """Run the named checks (all by default) and return the results list."""
-    results = []
-    for name in names or CHECKS:
-        fn = CHECKS[name]
-        kwargs = {"jobs": jobs} if (name in PARALLEL_CHECKS and jobs > 1) else {}
-        results.append(fn(**kwargs))
-    return results

@@ -13,6 +13,11 @@ All four run through one integrator, the ensemble engine
 OBABO updates) and one first-hit stop rule; ``integrate_until`` is its
 one-row call and ``step`` the kernel's single-state wrapper.
 
+The settling flow that defines the wells W_m and W_s is integrated apart
+from the engine, by ``batch_zero_noise_flow``: fixed RK4 steps over an
+``(n, 2d)`` batch, each row stopping at its own settle test;
+``run_zero_noise_flow`` is its one-row call.
+
 Noise is counter-based: every trajectory owns a Philox stream keyed by
 (seed, stream_id) and consumes it in fixed-size chunks (``noise_block``), so
 a trajectory's path is bit-reproducible regardless of which other
@@ -37,6 +42,7 @@ OBABO = "splitting-obabo"
 
 BLOWUP_LIMIT = 1.0e8
 NOISE_CHUNK = 1024  # steps per Philox counter block
+FLOW_DT = 1.0e-2  # zero-noise flow step, taken as two RK4 steps of FLOW_DT / 2
 
 
 # -- process and configuration ------------------------------------------------
@@ -449,71 +455,85 @@ class FlowResult:
     converged: bool
 
 
-def _rk4_field(model, gamma, x):
+def _rk4_step(model, gamma, x, h):
+    """One classical RK4 step of the zero-noise flow for the rows of x."""
     d = model.dimension
-    q, p = x[..., :d], x[..., d:]
-    return np.concatenate([p, -model.gradient(q) - gamma * p], axis=-1)
+
+    def field(y):
+        return np.concatenate([y[:, d:], -model.gradient(y[:, :d]) - gamma * y[:, d:]], axis=1)
+
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def run_zero_noise_flow(
-    model: PotentialModel,
-    gamma: float,
-    start,
-    tol: float = 1.0e-3,
-    max_time: float = 1.0e3,
-    minima=None,
-    dt: float = 1.0e-2,
-) -> FlowResult:
-    """Integrate the deterministic flow until it settles into a minimum ball.
+def _row_dots(v):
+    """Row-wise v . v, rounded as ``np.dot`` rounds a single row."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
-    Uses RK4 with adaptive step halving keyed to local error; the energy trace
-    is recorded for the monotonicity check dV/dt = -gamma |p|^2 <= 0.  Failure
-    to settle (e.g. starting on the saddle's stable manifold) is reported, not
-    raised.
+
+def batch_zero_noise_flow(model: PotentialModel, gamma: float, starts, tol: float = 1.0e-3,
+                          max_time: float = 1.0e3, minima=None) -> list[FlowResult]:
+    """The deterministic flow from each start until it settles into a minimum ball.
+
+    Each step moves all running rows of the ``(n, 2d)`` batch by two RK4 steps
+    of FLOW_DT / 2, so the rows share one clock, and stops the rows within
+    ``tol`` of (z, 0), z in ``minima`` (tried in order).  Rows still running at
+    max_time (e.g. from the saddle's stable manifold) are reported as not
+    converged, not raised.  A row's energy trace holds (t, V) every
+    max(max_time / 4096, FLOW_DT) and at its stop, for the monotonicity check
+    dV/dt = -gamma |p|^2 <= 0.  Each FlowResult is independent of the batch.
     """
-    from .potentials import hamiltonian
-
-    x = np.asarray(start, dtype=float).copy()
+    x = np.array(starts, dtype=float)
     d = model.dimension
     if minima is None:
-        raise InputError("run_zero_noise_flow needs the list of located minima")
+        raise InputError("the zero-noise flow needs the list of located minima")
+    if x.ndim != 2 or x.shape[1] != 2 * d:
+        raise InputError("starts must have shape (n, 2d)")
     targets = [np.concatenate([np.atleast_1d(z), np.zeros(d)]) for z in np.atleast_2d(minima)]
-    t = 0.0
-    trace = [(0.0, hamiltonian(model, x))]
-    for z in targets:
-        if np.linalg.norm(x - z) < tol:
-            return FlowResult(z, 0.0, np.array(trace), True)
-    next_record = 0.0
-    record_every = max(max_time / 4096.0, dt)
-    while t < max_time:
-        h = dt
-        # one adaptive RK4 step (step doubling error control)
-        while True:
-            big = _rk4_step(model, gamma, x, h)
-            half = _rk4_step(model, gamma, _rk4_step(model, gamma, x, h / 2), h / 2)
-            err = np.max(np.abs(big - half))
-            if err < 1.0e-10 or h < 1.0e-6:
-                x = half
-                break
-            h /= 2.0
-        t += h
+    active = np.arange(len(x))
+    hit = np.full(len(x), -1)  # index of the target a row settled in
+    traces = [[] for _ in active]
+    t = next_record = 0.0
+    record_every = max(max_time / 4096.0, FLOW_DT)
+
+    def record(rows, xx):
+        for i, v in zip(rows, model.energy(xx[:, :d]) + 0.5 * _row_dots(xx[:, d:])):
+            traces[i].append((t, v))
+
+    def settled():
+        done = np.zeros(len(active), dtype=bool)
+        for j, z in enumerate(targets):
+            new = (np.sqrt(_row_dots(x - z)) < tol) & ~done
+            hit[active[new]] = j
+            done |= new
+        return done
+
+    record(active, x)
+    keep = ~settled()
+    active, x = active[keep], x[keep]
+    while len(active) and t < max_time:
+        x = _rk4_step(model, gamma, _rk4_step(model, gamma, x, FLOW_DT / 2), FLOW_DT / 2)
+        t += FLOW_DT
         if t >= next_record:
-            trace.append((t, hamiltonian(model, x)))
+            record(active, x)
             next_record = t + record_every
-        for z in targets:
-            if np.linalg.norm(x - z) < tol:
-                trace.append((t, hamiltonian(model, x)))
-                return FlowResult(z, t, np.array(trace), True)
-    trace.append((t, hamiltonian(model, x)))
-    return FlowResult(None, None, np.array(trace), False)
+        done = settled()
+        if np.any(done):
+            record(active[done], x[done])
+            active, x = active[~done], x[~done]
+    record(active, x)  # timeouts
+    # a settled row's trace ends at its settle time
+    return [FlowResult(targets[j].copy(), traces[i][-1][0], np.array(traces[i]), True) if j >= 0
+            else FlowResult(None, None, np.array(traces[i]), False) for i, j in enumerate(hit)]
 
 
-def _rk4_step(model, gamma, x, h):
-    k1 = _rk4_field(model, gamma, x)
-    k2 = _rk4_field(model, gamma, x + 0.5 * h * k1)
-    k3 = _rk4_field(model, gamma, x + 0.5 * h * k2)
-    k4 = _rk4_field(model, gamma, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def run_zero_noise_flow(model: PotentialModel, gamma: float, start, tol: float = 1.0e-3,
+                        max_time: float = 1.0e3, minima=None) -> FlowResult:
+    """The zero-noise flow from one start: a one-row ``batch_zero_noise_flow`` call."""
+    return batch_zero_noise_flow(model, gamma, [np.asarray(start, dtype=float)], tol, max_time, minima)[0]
 
 
 # -- linearization covariance ---------------------------------------------------------

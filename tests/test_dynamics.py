@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from metastable.checks import _quartic_setup, _zero_noise_flow_starts
 from metastable.dynamics import (
     EULER,
+    FLOW_DT,
     HIT_AVOID,
     HIT_TARGET,
     LEVEL_CROSSED,
@@ -16,8 +18,10 @@ from metastable.dynamics import (
     IntegratorConfig,
     ProcessKind,
     StopSpec,
+    _rk4_step,
     apply_generator,
     batch_hit_times,
+    batch_zero_noise_flow,
     coupled_distance_probe,
     evolve_linearization_covariance,
     integrate_until,
@@ -26,7 +30,12 @@ from metastable.dynamics import (
     step,
 )
 from metastable.errors import InputError, NumericsError
-from metastable.potentials import hamiltonian, polynomial_potential, quartic_double_well
+from metastable.potentials import (
+    hamiltonian,
+    polynomial_potential,
+    quartic_double_well,
+    separable_double_well,
+)
 
 MODEL = quartic_double_well()
 
@@ -335,6 +344,46 @@ class TestZeroNoiseFlow:
     def test_saddle_rest_point_does_not_converge(self):
         res = run_zero_noise_flow(MODEL, 1.0, [0.0, 0.0], tol=1e-6, max_time=20, minima=self.minima)
         assert not res.converged and res.limit_point is None
+
+    @pytest.mark.parametrize("model, starts", [
+        (MODEL, [[0.5, 0.0], [1.0, 0.0], [0.0, 0.0], [-0.7, 0.3], [1.2, -0.4], [-1.3, 0.1], [0.7, -0.3]]),
+        (separable_double_well([4.0]), [[0.5, 0.2, 0.1, -0.3], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                                        [-0.6, -0.1, 0.2, 0.1], [1.2, 0.1, -0.3, 0.2], [0.8, 0.1, -0.4, 0.0]]),
+    ])
+    def test_batch_matches_one_row_calls(self, model, starts):
+        # rows settle at t = 0, time out on the saddle rest point and settle in both
+        # wells; the last start settles on the same step as the fourth
+        minima = np.array([[1.0] + [0.0] * (model.dimension - 1), [-1.0] + [0.0] * (model.dimension - 1)])
+        kw = dict(tol=1e-3, max_time=20.0, minima=minima)
+        batch = batch_zero_noise_flow(model, 1.0, np.array(starts), **kw)
+        single = [run_zero_noise_flow(model, 1.0, x, **kw) for x in starts]
+        assert 0.0 in [r.settle_time for r in batch]
+        assert any(not r.converged for r in batch)
+        assert {r.limit_point[0] for r in batch if r.converged} == {1.0, -1.0}
+        assert batch[-1].settle_time == batch[3].settle_time
+        for b, s in zip(batch, single):
+            assert b.converged == s.converged and b.settle_time == s.settle_time
+            assert (b.limit_point is None) == (s.limit_point is None)
+            if b.limit_point is not None:
+                assert b.limit_point.tobytes() == s.limit_point.tobytes()
+            assert b.energy_trace.shape == s.energy_trace.shape
+            assert b.energy_trace.tobytes() == s.energy_trace.tobytes()
+
+    def test_step_doubling_error_stays_below_halving_threshold(self):
+        # the flow takes fixed steps (two RK4 steps of FLOW_DT / 2); this matches an
+        # adaptive step-doubling rule with threshold 1e-10 only while FLOW_DT never halves
+        model, report, _ = _quartic_setup()
+        x = _zero_noise_flow_starts(model, report)
+        targets = [np.array([report.minimum_m.location[0], 0.0]), np.array([report.minimum_s.location[0], 0.0])]
+        h, t, worst = FLOW_DT, 0.0, 0.0
+        while len(x) and t < 300.0:
+            big = _rk4_step(model, 1.0, x, h)
+            x = _rk4_step(model, 1.0, _rk4_step(model, 1.0, x, h / 2), h / 2)
+            worst = max(worst, float(np.max(np.abs(big - x))))
+            t += h
+            x = x[np.min([np.linalg.norm(x - z, axis=1) for z in targets], axis=0) >= 1e-6]
+        assert len(x) == 0
+        assert worst < 1e-10
 
 
 class TestLinearizationCovariance:
