@@ -267,26 +267,24 @@ def check_monte_carlo_ek(
     model, report, frame = _quartic_setup()
     target = hit.Ball(np.concatenate([report.minimum_s.location, [0.0]]), r_target)
     start = np.concatenate([report.minimum_m.location, [0.0]])
-    series = []
-    factors = {}
     all_eps = sorted(set(eps_factor) | set(eps_slope), reverse=True)
-    for i, eps in enumerate(all_eps):
-        pred = ek_prediction(report, frame, eps)
-        cfg = hit.EnsembleConfig(
+    preds = [ek_prediction(report, frame, eps).predicted_mean_time for eps in all_eps]
+    cfgs = [
+        hit.EnsembleConfig(
             model=model,
             epsilon=eps,
             gamma=1.0,
             n_traj=n_traj,
             start=start,
             target=target,
-            integrator=IntegratorConfig(scheme=OBABO, dt=dt, max_time=50.0 * pred.predicted_mean_time),
+            integrator=IntegratorConfig(scheme=OBABO, dt=dt, max_time=50.0 * pred),
             base_seed=base_seed,
             stream_base=i * n_traj,
         )
-        stats = hit.estimate_mean_hitting_time(cfg, jobs=jobs)
-        series.append((eps, stats))
-        if eps in eps_factor:
-            factors[eps] = stats.mean / pred.predicted_mean_time
+        for i, (eps, pred) in enumerate(zip(all_eps, preds))
+    ]
+    series = list(zip(all_eps, hit.estimate_mean_hitting_times(cfgs, jobs=jobs)))
+    factors = {eps: s.mean / pred for (eps, s), pred in zip(series, preds) if eps in eps_factor}
     fit = hit.barrier_slope_fit([(e, s) for e, s in series if e in eps_slope])
     barrier = report.barrier_from_m
     ok = all(0.4 <= f <= 2.5 for f in factors.values()) and abs(fit.slope - barrier) <= 0.25 * barrier
@@ -579,7 +577,7 @@ def check_gibbs_marginals(
             noise = np.stack(
                 [noise_block(seed, i, c_idx, (NOISE_CHUNK, 2)) for i in range(n_chains)], axis=1
             )
-        q, p = _advance(forward, model, gamma, epsilon, q, p, dt, noise[offset], OBABO, coefs)
+        q, p = _advance(forward, model, gamma, q, p, dt, noise[offset], OBABO, coefs)
         if k >= burn:
             sum_q2 += float(np.sum(q * q))
             sum_p2 += float(np.sum(p * p))

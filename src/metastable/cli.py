@@ -3,7 +3,8 @@
 Subcommands: analyze | predict | simulate | capacity | verify.  All take a
 JSON config plus flag overrides and write reports into the output directory;
 every report embeds the config hash, the seed and the tool version so the
-producing command can be re-run exactly.
+producing command can be re-run exactly.  ``simulate`` runs its epsilon grid
+as one engine call, so each ``wall_time`` in ``hitting.json`` is that call's.
 
 Exit codes: 0 success, 1 pipeline failure, 2 malformed config.
 """
@@ -281,19 +282,19 @@ def cmd_predict(cfg, args, outdir):
 
 def cmd_simulate(cfg, args, outdir):
     from .dynamics import IntegratorConfig
-    from .hitting import Ball, EnsembleConfig, estimate_mean_hitting_time
+    from .hitting import Ball, EnsembleConfig, estimate_mean_hitting_times
     from .rates import build_saddle_frame, ek_prediction
 
     model, report = _analyze(cfg)
     frame = build_saddle_frame(model, report, cfg["gamma"])
     integ = cfg["integrator"]
     ens = cfg["ensemble"]
-    results = []
-    rows = []
+    preds, ecfgs = [], []
     for i, eps in enumerate(_epsilons(cfg)):
         pred = ek_prediction(report, frame, eps)
         max_time = min(integ["max_time"], 50.0 * pred.predicted_mean_time)
-        ecfg = EnsembleConfig(
+        preds.append(pred)
+        ecfgs.append(EnsembleConfig(
             model=model,
             epsilon=eps,
             gamma=cfg["gamma"],
@@ -306,8 +307,10 @@ def cmd_simulate(cfg, args, outdir):
             integrator=IntegratorConfig(scheme=integ["scheme"], dt=integ["dt"], max_time=max_time),
             base_seed=ens["base_seed"],
             stream_base=i * ens["n_traj"],
-        )
-        stats = estimate_mean_hitting_time(ecfg, jobs=args.jobs)
+        ))
+    results, rows = [], []
+    for ecfg, pred, stats in zip(ecfgs, preds, estimate_mean_hitting_times(ecfgs, jobs=args.jobs)):
+        eps = ecfg.epsilon
         results.append(
             {
                 "epsilon": eps,

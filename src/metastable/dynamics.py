@@ -21,9 +21,11 @@ from the engine, by ``batch_zero_noise_flow``: fixed RK4 steps over an
 Noise is counter-based: every trajectory owns a Philox stream keyed by
 (seed, stream_id) and consumes it in fixed-size chunks (``noise_block``), so
 a trajectory's path is bit-reproducible regardless of which other
-trajectories run next to it, on how many workers, or in which order.  The
-engine is the only reader of those streams during a run; the coupled
-forward/perturbed probe reads the same blocks to drive its pair.
+trajectories run next to it, on how many workers, or in which order.  So the
+engine takes epsilon, max_time and the ball radii per row, and ensembles of
+one run (an epsilon grid) share one batch and one slow tail.  The engine is
+the only reader of those streams during a run, drawing each chunk in pieces;
+the coupled forward/perturbed probe reads the same blocks to drive its pair.
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import InputError, NumericsError
-from .potentials import PotentialModel
+from .potentials import PotentialModel, _row_dots
 
 EULER = "euler-maruyama"
 OBABO = "splitting-obabo"
 
 BLOWUP_LIMIT = 1.0e8
 NOISE_CHUNK = 1024  # steps per Philox counter block
+NOISE_PIECE = 256  # steps of a chunk the engine draws at a time
 FLOW_DT = 1.0e-2  # zero-noise flow step, taken as two RK4 steps of FLOW_DT / 2
 
 
@@ -87,7 +90,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in (EULER, OBABO):
             raise InputError(f"unknown scheme {self.scheme!r}")
-        if not 0 < self.dt < self.max_time:
+        if not 0 < self.dt < np.min(self.max_time):  # max_time: a scalar or one per row
             raise InputError("require 0 < dt < max_time")
 
 
@@ -130,15 +133,19 @@ def _philox_key(seed: int, stream_id: int) -> np.ndarray:
     return np.array([np.uint64(seed & (2**64 - 1)), np.uint64(stream_id & (2**64 - 1))])
 
 
+def _noise_generator(seed: int, stream_id: int, chunk_index: int) -> np.random.Generator:
+    """The generator of one chunk of one stream, positioned at the chunk's first draw."""
+    counter = np.array([0, 0, np.uint64(chunk_index), 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, stream_id), counter=counter))
+
+
 def noise_block(seed: int, stream_id: int, chunk_index: int, shape) -> np.ndarray:
-    """Standard normals for one chunk of one stream.
+    """Standard normals for one chunk of one stream (the engine draws the same in pieces).
 
     Chunks live 2^128 apart in Philox counter space, so consuming a variable
     number of words inside a chunk can never bleed into the next one.
     """
-    counter = np.array([0, 0, np.uint64(chunk_index), 0], dtype=np.uint64)
-    bg = np.random.Philox(key=_philox_key(seed, stream_id), counter=counter)
-    return np.random.Generator(bg).standard_normal(shape)
+    return _noise_generator(seed, stream_id, chunk_index).standard_normal(shape)
 
 
 # -- the step kernel ------------------------------------------------------------
@@ -162,17 +169,18 @@ def _step_coefs(process: ProcessKind, gamma: float, eps: float, dt: float, schem
     raise InputError(f"unknown scheme {scheme!r}")
 
 
-def _advance(process, model, gamma, eps, q, p, dt, noise, scheme, coefs):
+def _advance(process, model, gamma, q, p, dt, noise, scheme, coefs):
     """One Euler or OBABO step of (q, p), vectorized over leading axes.
 
-    ``noise`` holds the step's normals in the layout of ``step`` and is not
-    read when eps = 0; ``coefs`` comes from ``_step_coefs`` for the same run.
+    ``noise`` holds the step's normals in the layout of ``step``, or is None
+    for a noise-free step; ``coefs`` comes from ``_step_coefs`` for the same
+    run, as scalars or as per-row columns of shape (n, 1).
     """
     d = model.dimension
     if scheme == OBABO:
         a, b = coefs
-        n1 = noise[..., :d] if eps > 0 else 0.0
-        n2 = noise[..., d:] if eps > 0 else 0.0
+        n1 = 0.0 if noise is None else noise[..., :d]
+        n2 = 0.0 if noise is None else noise[..., d:]
         p = a * p + b * n1                      # O: exact OU half-step
         p = p - 0.5 * dt * model.gradient(q)    # B
         q = q + dt * p                          # A
@@ -187,7 +195,7 @@ def _advance(process, model, gamma, eps, q, p, dt, noise, scheme, coefs):
             dq = dq - process.alpha * grad
     q_new = q + dq * dt
     p_new = p + dp * dt
-    if eps > 0:
+    if noise is not None:
         scale_q, scale_p = coefs
         if process.kind == "perturbed":
             q_new = q_new + scale_q * noise[..., :d]
@@ -226,7 +234,8 @@ def step(
         need = _noise_width(process, scheme, d)
         if noise.shape[-1] != need:
             raise InputError(f"{process.kind} {scheme} step needs {need} normals")
-    q_new, p_new = _advance(process, model, gamma, eps, x[..., :d], x[..., d:], dt, noise, scheme, coefs)
+    q_new, p_new = _advance(process, model, gamma, x[..., :d], x[..., d:], dt, noise if eps > 0 else None,
+                            scheme, coefs)
     out = np.concatenate([np.atleast_1d(q_new), np.atleast_1d(p_new)], axis=-1)
     if not np.all(np.abs(out) <= BLOWUP_LIMIT):
         raise NumericsError(f"trajectory blew up at state {out}")
@@ -240,10 +249,17 @@ HIT_TARGET, HIT_AVOID, TIMEOUT, LEVEL_CROSSED = 0, 1, 2, 3
 _REASON_NAMES = ("hit_target", "hit_avoid", "timeout", "energy_level_crossed")  # by code
 
 
+def _take(keep, x):
+    """x on the kept rows: per-row arrays by the mask, tuples item by item, scalars as they are."""
+    if isinstance(x, (tuple, list)):
+        return tuple(_take(keep, c) for c in x)
+    return x[keep] if np.ndim(x) else x
+
+
 def batch_hit_times(
     model: PotentialModel,
     gamma: float,
-    epsilon: float,
+    epsilon,
     starts: np.ndarray,
     stop: StopSpec,
     config: IntegratorConfig,
@@ -256,15 +272,22 @@ def batch_hit_times(
     through it, and it is the only reader of the noise streams during a run
     (``integrate_until`` is a one-row call).  Returns (times, reasons,
     final_states); reasons holds the integer codes HIT_TARGET / HIT_AVOID /
-    TIMEOUT / LEVEL_CROSSED.  Noise for trajectory i is consumed from stream
-    (rng_seed, stream_ids[i]) in NOISE_CHUNK blocks, so a trajectory's path
-    does not depend on the batch around it; with eps = 0 or the zero-noise
-    process no noise is drawn.  Rows that stop stay in the current chunk;
-    ``rows`` maps each running trajectory to its row of the chunk, so stopping
-    never copies the noise.  A row's first stop wins, checked in the order
-    target ball, avoid ball, level, and its time is interpolated linearly
-    inside the step.  Blow-ups (|x| > BLOWUP_LIMIT or NaN) raise NumericsError,
-    checked every 16 steps.
+    TIMEOUT / LEVEL_CROSSED.  ``epsilon``, ``config.max_time`` and the ball radii of ``stop`` may each
+    hold one value per row, so ensembles that share model, gamma, scheme, dt
+    and seed run as one batch with one shared tail; per-row values are
+    columns (OBABO ``b`` or the Euler scales, the timeout step
+    ceil(max_time_i / dt), the radii) filtered with the running rows.
+    Noise for trajectory i is consumed from stream (rng_seed, stream_ids[i])
+    in NOISE_CHUNK blocks (``noise_block``), so a trajectory's path does not
+    depend on the batch around it; if no row has eps > 0, or the process is
+    zero-noise, no noise is drawn.  Each running row keeps its chunk's Philox
+    generator and draws NOISE_PIECE steps at a time into a (n_active,
+    NOISE_PIECE, width) block; ``rows`` maps each running row to its row of
+    the block and of the generator list, so stopping copies no noise.  A
+    row's first stop wins, checked in the order target ball, avoid ball,
+    level, and its time is interpolated linearly inside the step.
+    Blow-ups (|x| > BLOWUP_LIMIT or NaN) raise NumericsError, checked every 16
+    steps.
     """
     starts = np.asarray(starts, dtype=float)
     n, dim2 = starts.shape
@@ -273,12 +296,14 @@ def batch_hit_times(
         raise InputError("starts must have shape (n, 2d)")
     scheme = config.scheme
     dt = config.dt
-    eps = 0.0 if process.kind == "zero_noise" else float(epsilon)
-    coefs = _step_coefs(process, gamma, eps, dt, scheme)
+    eps = np.broadcast_to(0.0 if process.kind == "zero_noise" else np.asarray(epsilon, dtype=float), (n,))
+    noisy = bool(np.any(eps > 0))
+    coefs = _step_coefs(process, gamma, eps[:, None], dt, scheme)
     width = _noise_width(process, scheme, d)
-    n_steps = int(np.ceil(config.max_time / dt))
+    times = np.broadcast_to(np.asarray(config.max_time, dtype=float), (n,)).copy()
+    last = np.ceil(times / dt).astype(int)  # a row times out before its step last[i]
+    n_steps = int(last.max()) if n else 0
 
-    times = np.full(n, float(config.max_time))
     reasons = np.full(n, TIMEOUT, dtype=np.int8)
     finals = starts.copy()
 
@@ -291,9 +316,10 @@ def batch_hit_times(
         cq, cp = center[:d], center[d:]
         return lambda qq, pp: np.sqrt(((qq - cq) ** 2).sum(axis=1) + ((pp - cp) ** 2).sum(axis=1))
 
-    # (reason, value of (q, p), threshold, stop when value <= threshold) in priority order
+    # (reason, value of (q, p), threshold, stop when value <= threshold) in priority
+    # order; a threshold is a scalar or a per-row column
     predicates = [
-        (code, ball(center), radius, True)
+        (code, ball(center), np.asarray(radius, dtype=float), True)
         for center, radius, code in ((stop.target_center, stop.target_radius, HIT_TARGET),
                                      (stop.avoid_center, stop.avoid_radius, HIT_AVOID))
         if center is not None
@@ -313,7 +339,7 @@ def batch_hit_times(
             if np.any(hit):
                 v_old = value(q, p)[hit]
                 denom = np.where(v_new[hit] != v_old, v_new[hit] - v_old, 1.0)
-                frac = np.clip((threshold - v_old) / denom, 0.0, 1.0)
+                frac = np.clip((_take(hit, threshold) - v_old) / denom, 0.0, 1.0)
                 idx = active[hit]
                 times[idx] = t_prev + frac * step_dt
                 reasons[idx] = code
@@ -322,28 +348,34 @@ def batch_hit_times(
                 done |= hit
         return done
 
+    rows = np.arange(n)  # each running trajectory's row of the noise block
     if n:  # hits at time zero: the start is both ends of an empty step
         keep = ~settle_stops(q, p, 0.0, 0.0)
-        active, q, p = active[keep], q[keep], p[keep]
-
-    chunk = noise = None
-    chunk_idx = -1
-    rows = np.arange(len(active))  # each running trajectory's row of the noise chunk
+        q, p, active, rows, last, coefs, predicates = _take(keep, (q, p, active, rows, last, coefs, predicates))
+    next_timeout = int(last.min()) if len(active) else n_steps
+    gens = block = noise = None
 
     for k in range(n_steps):
+        if k == next_timeout:
+            keep = last > k
+            finals[active[~keep]] = np.hstack([q, p])[~keep]
+            q, p, active, rows, last, coefs, predicates = _take(
+                keep, (q, p, active, rows, last, coefs, predicates))
+            next_timeout = int(last.min()) if len(active) else n_steps
         if len(active) == 0:
             break
-        if eps > 0:
+        if noisy:
             c_idx, offset = divmod(k, NOISE_CHUNK)
-            if c_idx != chunk_idx:
-                chunk = None  # release the spent chunk before drawing the next
-                chunk = np.empty((len(active), NOISE_CHUNK, width))
-                for row, i in enumerate(active):
-                    chunk[row] = noise_block(config.rng_seed, int(sid[i]), c_idx, (NOISE_CHUNK, width))
-                chunk_idx = c_idx
+            if offset % NOISE_PIECE == 0:
+                gens = ([_noise_generator(config.rng_seed, int(sid[i]), c_idx) for i in active] if offset == 0
+                        else [gens[r] for r in rows])
+                block = None  # release the spent piece before drawing the next
+                block = np.empty((len(active), NOISE_PIECE, width))
+                for g, out in zip(gens, block):
+                    g.standard_normal(out=out)
                 rows = np.arange(len(active))
-            noise = chunk[rows, offset, :]
-        q_new, p_new = _advance(process, model, gamma, eps, q, p, dt, noise, scheme, coefs)
+            noise = block[rows, offset % NOISE_PIECE, :]
+        q_new, p_new = _advance(process, model, gamma, q, p, dt, noise, scheme, coefs)
 
         if k % 16 == 0 and not (
             np.all(np.abs(q_new) <= BLOWUP_LIMIT) and np.all(np.abs(p_new) <= BLOWUP_LIMIT)
@@ -353,7 +385,8 @@ def batch_hit_times(
         done = settle_stops(q_new, p_new, k * dt, dt)
         if np.any(done):
             keep = ~done
-            active, q, p, rows = active[keep], q_new[keep], p_new[keep], rows[keep]
+            q, p, active, rows, last, coefs, predicates = _take(
+                keep, (q_new, p_new, active, rows, last, coefs, predicates))
         else:
             q, p = q_new, p_new
 
@@ -467,11 +500,6 @@ def _rk4_step(model, gamma, x, h):
     k3 = field(x + 0.5 * h * k2)
     k4 = field(x + h * k3)
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _row_dots(v):
-    """Row-wise v . v, rounded as ``np.dot`` rounds a single row."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def batch_zero_noise_flow(model: PotentialModel, gamma: float, starts, tol: float = 1.0e-3,

@@ -22,6 +22,7 @@ from .dynamics import (
     TIMEOUT,
     IntegratorConfig,
     StopSpec,
+    _take,
     batch_hit_times,
 )
 from .errors import InputError, NumericsError
@@ -129,22 +130,21 @@ def _merge_moments(a, b):
 
 
 def _run_chunk(args):
-    model, gamma, epsilon, starts, stop, config, stream_ids = args
-    return batch_hit_times(model, gamma, epsilon, starts, stop, config, stream_ids)
+    return batch_hit_times(*args)
 
 
-def _run_ensemble(cfg: EnsembleConfig, starts: np.ndarray, stream_ids: np.ndarray, jobs: int = 1):
-    """Times/reasons/finals for one trajectory per start, each on its stream id."""
+def _run_ensemble(model, gamma, epsilon, starts, stop, config, stream_ids, jobs: int = 1):
+    """``batch_hit_times`` over ``jobs`` worker processes, rows and per-row columns split in ranges."""
     n = len(starts)
-    config = replace(cfg.integrator, rng_seed=cfg.base_seed)
-    stop = cfg.stop_spec()
     if jobs <= 1 or n < 2 * jobs:
-        return batch_hit_times(cfg.model, cfg.gamma, cfg.epsilon, starts, stop, config, stream_ids)
+        return batch_hit_times(model, gamma, epsilon, starts, stop, config, stream_ids)
     bounds = np.linspace(0, n, jobs + 1, dtype=int)
     tasks = [
-        (cfg.model, cfg.gamma, cfg.epsilon, starts[a:b], stop, config, stream_ids[a:b])
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
+        (model, gamma, _take(r, epsilon), starts[r],
+         replace(stop, target_radius=_take(r, stop.target_radius), avoid_radius=_take(r, stop.avoid_radius)),
+         replace(config, max_time=_take(r, config.max_time)), stream_ids[r])
+        for r in (slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]))
+        if r.stop > r.start
     ]
     times = np.empty(n)
     reasons = np.empty(n, dtype=np.int8)
@@ -176,46 +176,63 @@ def _run_groups(cfg: EnsembleConfig, group_starts, blocks=None, jobs: int = 1):
         blocks = range(len(group_starts))
     starts = np.concatenate([np.tile(np.asarray(s, dtype=float), (n, 1)) for s in group_starts])
     stream_ids = cfg.stream_base + np.concatenate([b * n + np.arange(n) for b in blocks])
-    times, reasons, _ = _run_ensemble(cfg, starts, stream_ids, jobs)
+    config = replace(cfg.integrator, rng_seed=cfg.base_seed)
+    times, reasons, _ = _run_ensemble(cfg.model, cfg.gamma, cfg.epsilon, starts, cfg.stop_spec(),
+                                      config, stream_ids, jobs)
     return [(times[g * n : (g + 1) * n], reasons[g * n : (g + 1) * n]) for g in range(len(group_starts))]
 
 
-def estimate_mean_hitting_time(cfg: EnsembleConfig, jobs: int = 1) -> HittingStats:
-    """Mean/variance/CI of the first hitting time of the target ball.
+def estimate_mean_hitting_times(cfgs: Sequence[EnsembleConfig], jobs: int = 1) -> list:
+    """Mean/variance/CI of the first hitting time of the target ball, per ensemble.
 
-    Timeouts are excluded from the moments but counted; an all-timeout
-    ensemble is an estimation failure.
+    The ensembles share model, gamma, scheme, dt, base seed, target center and
+    avoid ball, and run as one ``batch_hit_times`` call with per-row epsilon,
+    target radius and max_time, so they share one slow tail; noise is keyed by
+    stream, so each path is that of a separate run.  Every HittingStats
+    reports the fused call's wall time.  Timeouts are excluded from the
+    moments but counted; an all-timeout ensemble is an estimation failure.
     """
-    gap = np.linalg.norm(cfg.start - cfg.target.center)
-    if gap <= cfg.target.radius:
+    def shared(c):  # what a fused batch holds in common
+        avoid = c.avoid and (c.avoid.center.tolist(), c.avoid.radius)
+        return c.model, c.gamma, c.integrator.scheme, c.integrator.dt, c.base_seed, c.target.center.tolist(), avoid
+
+    cfgs = list(cfgs)
+    if not cfgs or any(shared(c) != shared(cfgs[0]) for c in cfgs):
+        raise InputError("fused ensembles must share model, gamma, scheme, dt, seed, target center and avoid ball")
+    if any(np.linalg.norm(c.start - c.target.center) <= c.target.radius for c in cfgs):
         raise InputError("start lies inside the target ball")
     t0 = time.perf_counter()
-    starts = np.tile(cfg.start, (cfg.n_traj, 1))
-    stream_ids = cfg.stream_base + np.arange(cfg.n_traj)
-    times, reasons, _ = _run_ensemble(cfg, starts, stream_ids, jobs)
+    sizes = [c.n_traj for c in cfgs]
+    starts = np.concatenate([np.tile(c.start, (c.n_traj, 1)) for c in cfgs])
+    stream_ids = np.concatenate([c.stream_base + np.arange(c.n_traj) for c in cfgs])
+    stop = replace(cfgs[0].stop_spec(), target_radius=np.repeat([c.target.radius for c in cfgs], sizes))
+    config = replace(cfgs[0].integrator, rng_seed=cfgs[0].base_seed,
+                     max_time=np.repeat([c.integrator.max_time for c in cfgs], sizes))
+    epsilon = np.repeat([c.epsilon for c in cfgs], sizes)
+    all_times, all_reasons, _ = _run_ensemble(cfgs[0].model, cfgs[0].gamma, epsilon, starts, stop,
+                                              config, stream_ids, jobs)
     wall = time.perf_counter() - t0
-    hit = reasons == HIT_TARGET
-    n_timeout = int((reasons == TIMEOUT).sum())
-    if not np.any(hit):
-        raise NumericsError(
-            f"all {cfg.n_traj} trajectories timed out at max_time={cfg.integrator.max_time}"
-        )
-    n, mean, m2 = _pairwise_moments(times[hit])
-    variance = m2 / (n - 1) if n > 1 else 0.0
-    return HittingStats(
-        n_completed=n,
-        n_timeout=n_timeout,
-        mean=mean,
-        variance=variance,
-        ci95_half_width=1.96 * np.sqrt(variance / n) if n else float("inf"),
-        min=float(times[hit].min()),
-        max=float(times[hit].max()),
-        wall_time=wall,
-        base_seed=cfg.base_seed,
-        stream_range=(int(cfg.stream_base), int(cfg.stream_base + cfg.n_traj)),
-        times=times,
-        reasons=reasons,
-    )
+    out = []
+    for cfg, at in zip(cfgs, np.cumsum(sizes) - sizes):
+        times, reasons = all_times[at : at + cfg.n_traj], all_reasons[at : at + cfg.n_traj]
+        hit = reasons == HIT_TARGET
+        if not np.any(hit):
+            raise NumericsError(f"all {cfg.n_traj} trajectories at epsilon={cfg.epsilon} "
+                                f"timed out at max_time={cfg.integrator.max_time}")
+        n, mean, m2 = _pairwise_moments(times[hit])
+        variance = m2 / (n - 1) if n > 1 else 0.0
+        out.append(HittingStats(
+            n_completed=n, n_timeout=int((reasons == TIMEOUT).sum()), mean=mean, variance=variance,
+            ci95_half_width=1.96 * np.sqrt(variance / n), min=float(times[hit].min()),
+            max=float(times[hit].max()), wall_time=wall, base_seed=cfg.base_seed,
+            stream_range=(int(cfg.stream_base), int(cfg.stream_base + cfg.n_traj)), times=times, reasons=reasons,
+        ))
+    return out
+
+
+def estimate_mean_hitting_time(cfg: EnsembleConfig, jobs: int = 1) -> HittingStats:
+    """``estimate_mean_hitting_times`` for one ensemble."""
+    return estimate_mean_hitting_times([cfg], jobs)[0]
 
 
 # -- committor estimation -------------------------------------------------------

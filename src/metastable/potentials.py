@@ -35,6 +35,21 @@ def _as_points(q, d):
     return arr, single
 
 
+def _row_dots(v):
+    """Row-wise v . v over the last axis, rounded as ``np.dot`` rounds a single row."""
+    return (v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _powers(pts, monomials):
+    """[None, pts, pts * pts, pts * pts * pts, ...] up to the monomials' largest exponent:
+    ``pts ** k`` for k >= 3 would go through ``np.power``, whose rounding and speed depend
+    on the sign of the input and on the CPU's SIMD dispatch."""
+    out = [None, pts]
+    for _ in range(2, max((max(m.exponents) for m in monomials), default=1) + 1):
+        out.append(out[-1] * pts)
+    return out
+
+
 @dataclass(frozen=True)
 class Monomial:
     coefficient: float
@@ -60,19 +75,19 @@ class PotentialModel:
     def energy(self, q) -> np.ndarray | float:
         """U(q) + offset for q of shape (d,) or (n, d)."""
         pts, single = _as_points(q, self.dimension)
-        if self.family == QUARTIC_1D:
-            out = (pts[:, 0] ** 2 - 1.0) ** 2 / 4.0
-        elif self.family == SEPARABLE_ND:
-            out = (pts[:, 0] ** 2 - 1.0) ** 2 / 4.0
+        if self.family in (QUARTIC_1D, SEPARABLE_ND):
+            u = pts[:, 0] * pts[:, 0] - 1.0
+            out = u * u / 4.0
             for i, w2 in enumerate(self.parameters, start=1):
-                out = out + 0.5 * w2 * pts[:, i] ** 2
+                out = out + 0.5 * w2 * (pts[:, i] * pts[:, i])
         else:
             out = np.zeros(len(pts))
+            pw = _powers(pts, self._monomials)
             for mono in self._monomials:
                 term = np.full(len(pts), mono.coefficient)
                 for axis, k in enumerate(mono.exponents):
                     if k:
-                        term = term * pts[:, axis] ** k
+                        term = term * pw[k][:, axis]
                 out += term
         out = out + self.offset
         return float(out[0]) if single else out
@@ -80,21 +95,21 @@ class PotentialModel:
     def gradient(self, q) -> np.ndarray:
         """Exact analytic gradient, shape matching the input points."""
         pts, single = _as_points(q, self.dimension)
-        if self.family == QUARTIC_1D:
-            g = (pts[:, 0] ** 3 - pts[:, 0])[:, None]
-        elif self.family == SEPARABLE_ND:
+        if self.family in (QUARTIC_1D, SEPARABLE_ND):
+            x = pts[:, 0]
             g = np.empty_like(pts)
-            g[:, 0] = pts[:, 0] ** 3 - pts[:, 0]
+            g[:, 0] = x * x * x - x
             for i, w2 in enumerate(self.parameters, start=1):
                 g[:, i] = w2 * pts[:, i]
         else:
             g = np.zeros_like(pts)
+            pw = _powers(pts, self._monomials)
             for axis, monos in enumerate(self._grad_monomials):
                 for mono in monos:
                     term = mono.coefficient  # broadcasts like a full column
                     for ax2, k in enumerate(mono.exponents):
                         if k:
-                            term = term * pts[:, ax2] ** k
+                            term = term * pw[k][:, ax2]
                     g[:, axis] += term
         return g[0] if single else g
 
@@ -105,22 +120,21 @@ class PotentialModel:
             raise InputError("hessian expects a single point of shape (d,)")
         x = pts[0]
         d = self.dimension
-        if self.family == QUARTIC_1D:
-            h = np.array([[3.0 * x[0] ** 2 - 1.0]])
-        elif self.family == SEPARABLE_ND:
+        if self.family in (QUARTIC_1D, SEPARABLE_ND):
             h = np.zeros((d, d))
-            h[0, 0] = 3.0 * x[0] ** 2 - 1.0
+            h[0, 0] = 3.0 * (x[0] * x[0]) - 1.0
             for i, w2 in enumerate(self.parameters, start=1):
                 h[i, i] = w2
         else:
             h = np.zeros((d, d))
+            pw = _powers(x, self._monomials)
             for (i, j), monos in self._hess_monomials.items():
                 val = 0.0
                 for mono in monos:
                     term = mono.coefficient
                     for ax2, k in enumerate(mono.exponents):
                         if k:
-                            term *= x[ax2] ** k
+                            term *= pw[k][ax2]
                     val += term
                 h[i, j] = val
                 h[j, i] = val
@@ -276,7 +290,7 @@ def hamiltonian(model: PotentialModel, state) -> float | np.ndarray:
         return float(model.energy(x[:d]) + 0.5 * np.dot(x[d:], x[d:]))
     if x.shape[-1] != 2 * d:
         raise InputError(f"phase vectors must have length {2 * d}")
-    return model.energy(x[..., :d]) + 0.5 * np.sum(x[..., d:] ** 2, axis=-1)
+    return model.energy(x[..., :d]) + 0.5 * _row_dots(x[..., d:])
 
 
 def normalize_offset(model: PotentialModel, landscape_min_value: float) -> PotentialModel:

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metastable.cli import config_hash, load_config, main, ConfigError
@@ -129,7 +130,9 @@ class TestCommands:
              "--set", "ensemble.n_traj=24", "--dump-trajectories"]
         )
         assert code == 0
-        assert calls == [0.3, 0.25]
+        # one engine call for the whole grid, with one epsilon per row
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [0.3] * 24 + [0.25] * 24)
         hitting = json.loads((out / "hitting.json").read_text())["hitting"]
         with (out / "trajectories.csv").open() as fh:
             rows = list(csv.DictReader(fh))

@@ -12,12 +12,14 @@ from metastable.dynamics import (
     HIT_TARGET,
     LEVEL_CROSSED,
     NOISE_CHUNK,
+    NOISE_PIECE,
     OBABO,
     TIMEOUT,
     FunctionBundle,
     IntegratorConfig,
     ProcessKind,
     StopSpec,
+    _noise_generator,
     _rk4_step,
     apply_generator,
     batch_hit_times,
@@ -245,6 +247,47 @@ class TestIntegrateUntil:
             t1, r1, f1 = batch_hit_times(MODEL, 1.0, 0.2, starts[i : i + 1], stop, cfg, sids[i : i + 1])
             assert t1[0] == times[i] and r1[0] == reasons[i]
             assert np.array_equal(f1[0], finals[i])
+
+    @pytest.mark.parametrize("scheme", [OBABO, EULER])
+    def test_fused_batch_matches_separate_calls(self, scheme):
+        # three ensembles with their own epsilon, timeout and target radius, fused
+        # with their rows interleaved; the first times out on a noise-piece boundary
+        dt = 2.0**-9
+        groups = [(0.3, 3 * NOISE_PIECE * dt, 0.25), (0.2, 1500 * dt, 0.3), (0.25, 2100 * dt, 0.2)]
+        qs = np.linspace(-0.7, 0.9, 10)
+        starts = np.tile(np.stack([qs, np.full_like(qs, -0.9)], axis=1), (len(groups), 1))
+        starts[2 * len(qs)] = [-1.0, 0.05]  # inside the target ball: a hit at time zero
+        sids = np.concatenate([100 * g + np.arange(len(qs)) for g in range(len(groups))])
+        group = np.repeat(np.arange(len(groups)), len(qs))
+
+        def run(rows, eps, max_time, radius):
+            cfg = IntegratorConfig(scheme=scheme, dt=dt, max_time=max_time, rng_seed=5)
+            stop = StopSpec(target_center=np.array([-1.0, 0.0]), target_radius=radius)
+            return batch_hit_times(MODEL, 1.0, eps, starts[rows], stop, cfg, sids[rows])
+
+        want = [np.concatenate(cols) for cols in zip(*(run(group == g, *groups[g]) for g in range(3)))]
+        times, reasons, _ = want
+        for g in range(2):
+            assert np.sum(reasons[group == g] == TIMEOUT) >= 2
+            assert np.sum(reasons[group == g] == HIT_TARGET) >= 2
+        assert times[2 * len(qs)] == 0.0 and reasons[2 * len(qs)] == HIT_TARGET
+
+        order = np.random.default_rng(0).permutation(len(starts))
+        eps, max_time, radius = (np.array([groups[g][i] for g in group[order]]) for i in range(3))
+        for got, w in zip(run(order, eps, max_time, radius), want):
+            assert np.array_equal(got, w[order])
+        # rows also match their one-row runs, so no row reads another row's noise
+        for i in order[::3]:
+            for got, w in zip(run([i], *groups[group[i]]), want):
+                assert np.array_equal(got[0], w[i])
+
+    def test_noise_pieces_match_whole_chunk(self):
+        # a chunk drawn in consecutive pieces of whole steps equals the whole block
+        whole = noise_block(3, 8, 2, (NOISE_CHUNK, 2))
+        for sizes in ([NOISE_PIECE] * 4, [1, 100, 400, 523]):
+            g = _noise_generator(3, 8, 2)
+            parts = [g.standard_normal((k, 2)) for k in sizes]
+            assert np.array_equal(np.concatenate(parts), whole)
 
 
 class TestGenerator:

@@ -13,6 +13,7 @@ from metastable.hitting import (
     committor_envelope_check,
     estimate_equilibrium_potential,
     estimate_mean_hitting_time,
+    estimate_mean_hitting_times,
     start_insensitivity_probe,
     target_radius_for,
     _pairwise_moments,
@@ -101,6 +102,35 @@ class TestMeanHittingTime:
         for stats in (one, two):
             assert np.array_equal(stats.times, times) and np.array_equal(stats.reasons, reasons)
         assert one.n_completed == (reasons == HIT_TARGET).sum()
+
+    def test_fused_ensembles_match_separate_calls(self):
+        # epsilon, n_traj, target radius, max_time and stream base differ per ensemble
+        cfgs = [
+            make_cfg(epsilon=0.3, n_traj=40, dt=2e-3, max_time=30.0),
+            replace(make_cfg(epsilon=0.25, n_traj=30, dt=2e-3, max_time=25.0),
+                    target=Ball([-1.0, 0.0], 0.3), stream_base=40),
+        ]
+        separate = [estimate_mean_hitting_time(c) for c in cfgs]
+        assert all(s.n_timeout > 0 and s.n_completed > 0 for s in separate)
+        for jobs in (1, 2):
+            fused = estimate_mean_hitting_times(cfgs, jobs=jobs)
+            assert len({s.wall_time for s in fused}) == 1  # the shared call's time
+            for got, want in zip(fused, separate):
+                assert replace(got, wall_time=0.0) == replace(want, wall_time=0.0)
+                assert np.array_equal(got.times, want.times)
+                assert np.array_equal(got.reasons, want.reasons)
+
+    def test_fused_all_timeout_ensemble_raises_for_its_epsilon(self):
+        cfgs = [make_cfg(epsilon=0.3, n_traj=8, max_time=40.0),
+                make_cfg(epsilon=0.01, max_time=0.05, n_traj=8)]
+        with pytest.raises(NumericsError, match="epsilon=0.01"):
+            estimate_mean_hitting_times(cfgs)
+
+    def test_fused_ensembles_must_share_the_run(self):
+        with pytest.raises(InputError):
+            estimate_mean_hitting_times([make_cfg(), make_cfg(dt=2e-3)])
+        with pytest.raises(InputError):
+            estimate_mean_hitting_times([make_cfg(), make_cfg(seed=4)])
 
     def test_radius_rules(self):
         assert target_radius_for(0.05) == 0.2

@@ -112,6 +112,41 @@ def test_polynomial_matches_hand_evaluation():
     assert np.isclose(grad[1], 0.2 * 0.7**3 - 0.7, rtol=1e-13)
 
 
+@pytest.mark.parametrize("model", [quartic_double_well(), separable_double_well([4.0])])
+def test_gradient_is_odd_bit_for_bit(model):
+    # x * x * x rounds the same for x and -x; np.power(x, 3) by sign does not
+    rng = np.random.default_rng(1)
+    q = rng.uniform(-2.0, 2.0, size=(100_000, model.dimension))
+    assert np.array_equal(model.gradient(-q), -model.gradient(q))
+
+
+def test_polynomial_powers_are_left_to_right_products():
+    # U = 0.7 x^3 y - 1.3 y^4 + 0.4 x^5 y + 2 x^2 + 1.1, monomials summed in order
+    model = polynomial_potential(2, [(0.7, (3, 1)), (-1.3, (0, 4)), (0.4, (5, 1)), (2.0, (2, 0)),
+                                     (1.1, (0, 0))])
+    q = np.random.default_rng(2).uniform(-1.5, 1.5, size=(500, 2))
+    x, y = q[:, 0], q[:, 1]
+    energy = (0.0 + 0.7 * (x * x * x) * y + -1.3 * (y * y * y * y) + 0.4 * (x * x * x * x * x) * y
+              + 2.0 * (x * x) + 1.1)
+    assert np.array_equal(model.energy(q), energy)
+    gx = 0.0 + (0.7 * 3) * (x * x) * y + (0.4 * 5) * (x * x * x * x) * y + (2.0 * 2) * x
+    gy = 0.0 + 0.7 * (x * x * x) + (-1.3 * 4) * (y * y * y) + 0.4 * (x * x * x * x * x)
+    assert np.array_equal(model.gradient(q), np.stack([gx, gy], axis=1))
+    for a, b in q[:50]:
+        hxx = 0.0 + (0.7 * 3 * 2) * a * b + (0.4 * 5 * 4) * (a * a * a) * b + (2.0 * 2 * 1)
+        hxy = 0.0 + (0.7 * 3 * 1) * (a * a) + (0.4 * 5 * 1) * (a * a * a * a)
+        hyy = 0.0 + (-1.3 * 4 * 3) * (b * b)
+        assert np.array_equal(model.hessian([a, b]), [[hxx, hxy], [hxy, hyy]])
+
+
+def test_batched_hamiltonian_matches_single_points():
+    # |p|^2 of a batch rounds as np.dot does for one point (np.sum(p**2) differs in 2-D)
+    model = separable_double_well([4.0])
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(2000, 4))
+    batch = hamiltonian(model, x)
+    assert np.array_equal(batch, [hamiltonian(model, xi) for xi in x])
+
+
 def test_polynomial_restrictions():
     with pytest.raises(InputError):
         polynomial_potential(1, [(1.0, (7,))])  # degree > 6
